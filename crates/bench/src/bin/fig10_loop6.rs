@@ -8,58 +8,6 @@
 //!
 //! Usage: `fig10_loop6 [--quick] [--jobs N]`.
 
-use barrier_filter::BarrierMechanism;
-use bench_suite::cli::Cli;
-use bench_suite::{report, sweep_grid};
-use kernels::livermore::Loop6;
-
 fn main() {
-    let args = Cli::new(
-        "fig10_loop6",
-        "Figure 10 — Livermore Loop 6 cycles vs vector length",
-    )
-    .parse();
-    let (quick, runner) = (args.quick, args.runner);
-    let sizes: &[usize] = if quick {
-        &[32, 64, 128]
-    } else {
-        &[16, 32, 64, 128, 256]
-    };
-    let threads = 16;
-    println!(
-        "Figure 10: Livermore Loop 6 on {threads} cores — cycles per invocation vs vector length"
-    );
-    println!();
-    let kernels: Vec<Loop6> = sizes.iter().map(|&n| Loop6::new(n)).collect();
-    let labels: Vec<String> = sizes.iter().map(|n| format!("loop6 N={n}")).collect();
-    let grid = sweep_grid(&runner, &labels, |row, variant| match variant {
-        None => kernels[row].run_sequential(),
-        Some(m) => kernels[row].run_parallel(threads, m),
-    })
-    .expect("loop 6");
-    let mut header = vec!["N".to_string(), "sequential".to_string()];
-    header.extend(BarrierMechanism::ALL.iter().map(|m| m.to_string()));
-    let mut rows = Vec::new();
-    let mut crossover: Option<usize> = None;
-    let mut at_256 = None;
-    for (&n, row) in sizes.iter().zip(&grid) {
-        if crossover.is_none() && row.best_filter_speedup() > 1.0 {
-            crossover = Some(n);
-        }
-        if n == 256 {
-            at_256 = Some(row.best_filter_speedup());
-        }
-        let mut cells = vec![n.to_string(), report::f1(row.sequential)];
-        cells.extend(row.parallel.iter().map(|&(_, c)| report::f1(c)));
-        rows.push(cells);
-    }
-    print!("{}", report::table(&header, &rows));
-    println!();
-    println!(
-        "filter crossover at N = {} (paper: 64)",
-        crossover.map_or("none".into(), |n| n.to_string())
-    );
-    if let Some(s) = at_256 {
-        println!("filter speedup at N = 256: {s:.2}x (paper: more than 3x)");
-    }
+    bench_suite::figures::FIG10_LOOP6.main();
 }

@@ -10,43 +10,6 @@
 //!
 //! Usage: `fig5_autocorr [--quick] [--jobs N]`.
 
-use barrier_filter::BarrierMechanism;
-use bench_suite::cli::Cli;
-use bench_suite::{measure_on, report};
-use kernels::autocorr::Autocorr;
-
 fn main() {
-    let args = Cli::new(
-        "fig5_autocorr",
-        "Figure 5 — Autocorrelation speedup by barrier mechanism (16 cores)",
-    )
-    .parse();
-    let (quick, runner) = (args.quick, args.runner);
-    let n = if quick { 512 } else { 2048 };
-    let threads = 16;
-    let kernel = Autocorr::new(n);
-    let row = measure_on(
-        &runner,
-        format!("autocorr N={n} lag=32"),
-        || kernel.run_sequential(),
-        |m| kernel.run_parallel(threads, m),
-    )
-    .expect("autocorrelation");
-
-    println!("Figure 5: Autocorrelation speedup over sequential, 16 cores (N={n}, lag=32)");
-    println!();
-    let header = vec!["mechanism".to_string(), "speedup".to_string()];
-    let body: Vec<Vec<String>> = BarrierMechanism::ALL
-        .iter()
-        .map(|&m| vec![m.to_string(), report::f2(row.speedup(m))])
-        .collect();
-    print!("{}", report::table(&header, &body));
-    println!();
-    println!(
-        "best software {:.2}x | best filter {:.2}x | dedicated network {:.2}x",
-        row.best_software_speedup(),
-        row.best_filter_speedup(),
-        row.speedup(BarrierMechanism::HwDedicated),
-    );
-    println!("(paper: 3.86x software, 7.31x best filter, 7.98x dedicated network)");
+    bench_suite::figures::FIG5_AUTOCORR.main();
 }

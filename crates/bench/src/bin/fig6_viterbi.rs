@@ -8,61 +8,6 @@
 //!
 //! Usage: `fig6_viterbi [--quick] [--jobs N]`.
 
-use barrier_filter::BarrierMechanism;
-use bench_suite::cli::Cli;
-use bench_suite::{measure_on, report};
-use kernels::viterbi::Viterbi;
-
 fn main() {
-    let args = Cli::new(
-        "fig6_viterbi",
-        "Figure 6 — Viterbi decoder speedup by barrier mechanism (16 cores)",
-    )
-    .parse();
-    let (quick, runner) = (args.quick, args.runner);
-    let bits = if quick { 128 } else { 512 };
-    let threads = 16;
-    let kernel = Viterbi::new(bits);
-    let row = measure_on(
-        &runner,
-        format!("viterbi K=5 bits={bits}"),
-        || kernel.run_sequential(),
-        |m| kernel.run_parallel(threads, m),
-    )
-    .expect("viterbi");
-
-    println!(
-        "Figure 6: Viterbi decoder speedup over sequential, 16 cores (K=5, {} states, {bits} data bits)",
-        kernel.states()
-    );
-    println!();
-    let header = vec!["mechanism".to_string(), "speedup".to_string()];
-    let body: Vec<Vec<String>> = BarrierMechanism::ALL
-        .iter()
-        .map(|&m| vec![m.to_string(), report::f2(row.speedup(m))])
-        .collect();
-    print!("{}", report::table(&header, &body));
-    println!();
-    let sw = row.best_software_speedup();
-    let filt = row.best_filter_speedup();
-    println!(
-        "best software {sw:.2}x | best filter {filt:.2}x | dedicated {:.2}x",
-        row.speedup(BarrierMechanism::HwDedicated)
-    );
-    println!(
-        "software barriers are {} than sequential (paper: slower, 0.76x)",
-        if sw < 1.0 {
-            "slower"
-        } else {
-            "FASTER (shape mismatch!)"
-        }
-    );
-    println!(
-        "filter barriers give a speedup: {} (paper: yes)",
-        if filt > 1.0 {
-            "yes"
-        } else {
-            "NO (shape mismatch!)"
-        }
-    );
+    bench_suite::figures::FIG6_VITERBI.main();
 }

@@ -10,51 +10,6 @@
 //!
 //! Usage: `fig7_loop2 [--quick] [--jobs N]`.
 
-use barrier_filter::BarrierMechanism;
-use bench_suite::cli::Cli;
-use bench_suite::{report, sweep_grid};
-use kernels::livermore::Loop2;
-
 fn main() {
-    let args = Cli::new(
-        "fig7_loop2",
-        "Figure 7 — Livermore Loop 2 cycles vs vector length",
-    )
-    .parse();
-    let (quick, runner) = (args.quick, args.runner);
-    let sizes: &[usize] = if quick {
-        &[32, 64, 256]
-    } else {
-        &[16, 32, 64, 128, 256, 512, 1024]
-    };
-    let threads = 16;
-    println!(
-        "Figure 7: Livermore Loop 2 on {threads} cores — cycles per invocation vs vector length"
-    );
-    println!();
-    let kernels: Vec<Loop2> = sizes.iter().map(|&n| Loop2::new(n)).collect();
-    let labels: Vec<String> = sizes.iter().map(|n| format!("loop2 N={n}")).collect();
-    let grid = sweep_grid(&runner, &labels, |row, variant| match variant {
-        None => kernels[row].run_sequential(),
-        Some(m) => kernels[row].run_parallel(threads, m),
-    })
-    .expect("loop 2");
-    let mut header = vec!["N".to_string(), "sequential".to_string()];
-    header.extend(BarrierMechanism::ALL.iter().map(|m| m.to_string()));
-    let mut rows = Vec::new();
-    let mut crossover: Option<usize> = None;
-    for (&n, row) in sizes.iter().zip(&grid) {
-        if crossover.is_none() && row.best_filter_speedup() > 1.0 {
-            crossover = Some(n);
-        }
-        let mut cells = vec![n.to_string(), report::f1(row.sequential)];
-        cells.extend(row.parallel.iter().map(|&(_, cycles)| report::f1(cycles)));
-        rows.push(cells);
-    }
-    print!("{}", report::table(&header, &rows));
-    println!();
-    match crossover {
-        Some(n) => println!("filter-barrier crossover at N = {n} (paper: 256)"),
-        None => println!("no filter-barrier crossover in the sweep (paper: 256)"),
-    }
+    bench_suite::figures::FIG7_LOOP2.main();
 }

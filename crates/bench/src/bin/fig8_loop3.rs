@@ -10,56 +10,6 @@
 //!
 //! Usage: `fig8_loop3 [--quick] [--jobs N]`.
 
-use barrier_filter::BarrierMechanism;
-use bench_suite::cli::Cli;
-use bench_suite::{report, sweep_grid};
-use kernels::livermore::Loop3;
-
 fn main() {
-    let args = Cli::new(
-        "fig8_loop3",
-        "Figure 8 — Livermore Loop 3 cycles vs vector length",
-    )
-    .parse();
-    let (quick, runner) = (args.quick, args.runner);
-    let sizes: &[usize] = if quick {
-        &[32, 64, 256]
-    } else {
-        &[16, 32, 64, 128, 256, 512, 1024]
-    };
-    let threads = 16;
-    println!(
-        "Figure 8: Livermore Loop 3 on {threads} cores — cycles per invocation vs vector length"
-    );
-    println!();
-    let kernels: Vec<Loop3> = sizes.iter().map(|&n| Loop3::new(n)).collect();
-    let labels: Vec<String> = sizes.iter().map(|n| format!("loop3 N={n}")).collect();
-    let grid = sweep_grid(&runner, &labels, |row, variant| match variant {
-        None => kernels[row].run_sequential(),
-        Some(m) => kernels[row].run_parallel(threads, m),
-    })
-    .expect("loop 3");
-    let mut header = vec!["N".to_string(), "sequential".to_string()];
-    header.extend(BarrierMechanism::ALL.iter().map(|m| m.to_string()));
-    let mut rows = Vec::new();
-    let mut filter_cross: Option<usize> = None;
-    let mut sw_cross: Option<usize> = None;
-    for (&n, row) in sizes.iter().zip(&grid) {
-        if filter_cross.is_none() && row.best_filter_speedup() > 1.0 {
-            filter_cross = Some(n);
-        }
-        if sw_cross.is_none() && row.best_software_speedup() > 1.0 {
-            sw_cross = Some(n);
-        }
-        let mut cells = vec![n.to_string(), report::f1(row.sequential)];
-        cells.extend(row.parallel.iter().map(|&(_, c)| report::f1(c)));
-        rows.push(cells);
-    }
-    print!("{}", report::table(&header, &rows));
-    println!();
-    println!(
-        "filter crossover at N = {} (paper: 64); software crossover at N = {} (paper: 2-4x longer)",
-        filter_cross.map_or("none".into(), |n| n.to_string()),
-        sw_cross.map_or("none".into(), |n| n.to_string()),
-    );
+    bench_suite::figures::FIG8_LOOP3.main();
 }

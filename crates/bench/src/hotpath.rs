@@ -17,6 +17,7 @@ use std::time::Instant;
 
 use barrier_filter::BarrierMechanism;
 use cmp_sim::{Machine, MachineBuilder, SimConfig, DATA_BASE};
+use kernels::EngineKnobs;
 use sim_isa::{Asm, Reg};
 
 use crate::latency::build_latency_machine;
@@ -62,29 +63,9 @@ enum Body {
     Store,
 }
 
-/// Engine-knob overrides for one point (`None` = the config default).
-#[derive(Debug, Clone, Copy, Default)]
-struct Knobs {
-    burst_budget: Option<u32>,
-    decode_cache: Option<bool>,
-    event_shards: Option<bool>,
-    fused_memory: Option<bool>,
-}
-
-fn build_loop(body: Body, knobs: Knobs) -> Machine {
+fn build_loop(body: Body, knobs: EngineKnobs) -> Machine {
     let mut config = SimConfig::with_cores(1);
-    if let Some(b) = knobs.burst_budget {
-        config.burst_budget = b;
-    }
-    if let Some(d) = knobs.decode_cache {
-        config.decode_cache = d;
-    }
-    if let Some(s) = knobs.event_shards {
-        config.event_shards = s;
-    }
-    if let Some(f) = knobs.fused_memory {
-        config.fused_memory = f;
-    }
+    knobs.apply(&mut config);
     let mut asm = Asm::new();
     asm.label("entry").expect("fresh assembler");
     asm.li(Reg::S2, DATA_BASE as i64);
@@ -107,7 +88,7 @@ fn build_loop(body: Body, knobs: Knobs) -> Machine {
     mb.build().expect("build")
 }
 
-fn run_point(name: &str, body: Body, knobs: Knobs) -> HotpathPoint {
+fn run_point(name: &str, body: Body, knobs: EngineKnobs) -> HotpathPoint {
     let mut m = build_loop(body, knobs);
     let t0 = Instant::now();
     let summary = m.run().unwrap_or_else(|e| panic!("hotpath {name}: {e}"));
@@ -175,16 +156,12 @@ impl HotpathReport {
             self.delta("alu", "alu_burst0")
         ));
         out.push_str(&format!(
-            "  sharded-queue cost at burst 0           : {:>6.2}\n",
-            self.delta("alu_burst0", "alu_burst0_shards")
-        ));
-        out.push_str(&format!(
             "  memory stage, load hit (fused)          : {:>6.2}\n",
             self.delta("alu", "load_hit")
         ));
         out.push_str(&format!(
-            "  fused-memory saving on load hits        : {:>6.2}\n",
-            self.delta("load_hit", "load_hit_fused_off")
+            "  decoded executor saving on load hits    : {:>6.2}\n",
+            self.delta("load_hit", "load_hit_decode_off")
         ));
         out.push_str(&format!(
             "  memory stage, store                     : {:>6.2}\n",
@@ -201,13 +178,13 @@ impl HotpathReport {
 /// Panics if any microbench run fails: the workloads are fixed
 /// straight-line loops and must always complete.
 pub fn profile() -> HotpathReport {
-    let d = Knobs::default();
+    let d = EngineKnobs::default();
     let mut points = vec![
         run_point("alu", Body::Alu, d),
         run_point(
             "alu_decode_off",
             Body::Alu,
-            Knobs {
+            EngineKnobs {
                 decode_cache: Some(false),
                 ..d
             },
@@ -215,26 +192,17 @@ pub fn profile() -> HotpathReport {
         run_point(
             "alu_burst0",
             Body::Alu,
-            Knobs {
+            EngineKnobs {
                 burst_budget: Some(0),
-                ..d
-            },
-        ),
-        run_point(
-            "alu_burst0_shards",
-            Body::Alu,
-            Knobs {
-                burst_budget: Some(0),
-                event_shards: Some(true),
                 ..d
             },
         ),
         run_point("load_hit", Body::LoadHit, d),
         run_point(
-            "load_hit_fused_off",
+            "load_hit_decode_off",
             Body::LoadHit,
-            Knobs {
-                fused_memory: Some(false),
+            EngineKnobs {
+                decode_cache: Some(false),
                 ..d
             },
         ),
@@ -275,7 +243,7 @@ mod tests {
 
     #[test]
     fn microbench_points_time_and_report() {
-        let p = run_point("alu", Body::Alu, Knobs::default());
+        let p = run_point("alu", Body::Alu, EngineKnobs::default());
         // 14 body ops + addi + bne per iteration, + 2 preamble + halt.
         assert_eq!(p.instructions, ITERS * (BODY_OPS + 2) + 3);
         assert!(p.ns_per_instr() > 0.0);
@@ -284,7 +252,7 @@ mod tests {
     #[test]
     fn load_and_store_bodies_run_to_completion() {
         for body in [Body::LoadHit, Body::Store] {
-            let p = run_point("m", body, Knobs::default());
+            let p = run_point("m", body, EngineKnobs::default());
             assert_eq!(p.instructions, ITERS * (BODY_OPS + 2) + 3);
         }
     }
@@ -301,16 +269,14 @@ mod tests {
                 mk("alu", 5.0),
                 mk("alu_decode_off", 8.0),
                 mk("alu_burst0", 30.0),
-                mk("alu_burst0_shards", 35.0),
                 mk("load_hit", 12.0),
-                mk("load_hit_fused_off", 15.0),
+                mk("load_hit_decode_off", 15.0),
                 mk("store", 20.0),
             ],
         };
         let text = report.render();
         assert!(text.contains("schedule stage"));
-        assert!(text.contains("fused-memory saving"));
-        assert!(text.contains("sharded-queue cost"));
+        assert!(text.contains("decoded executor saving"));
         assert!(text.contains("25.00"), "burst0 delta = 30 - 5");
     }
 }

@@ -21,10 +21,11 @@
 //! | `fastbar_serve` | batch sweep daemon + client over the [`serve`] protocol |
 //!
 //! The library half hosts the shared runners so integration tests and
-//! Criterion benches reuse exactly the code the binaries run.
+//! the std-only benches reuse exactly the code the binaries run.
 
 pub mod chaos;
 pub mod cli;
+pub mod figures;
 pub mod hotpath;
 pub mod kernel_runs;
 pub mod latency;

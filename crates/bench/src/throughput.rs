@@ -19,9 +19,7 @@
 use std::time::Instant;
 
 use barrier_filter::{Barrier, BarrierMechanism};
-use cmp_sim::{
-    json_escape, DecodeCacheStats, EventQueueStats, FusedMemStats, Measurement, TraceSink,
-};
+use cmp_sim::{json_escape, DecodeCacheStats, FusedMemStats, Measurement, TraceSink};
 use kernels::viterbi::Viterbi;
 use kernels::{EngineKnobs, ExecSpec, RunAttachments, RunSpec};
 
@@ -56,13 +54,8 @@ pub struct ThroughputSample {
     /// [`SimConfig::decode_cache`](cmp_sim::SimConfig::decode_cache)
     /// while `sim` stays bit-identical.
     pub decode: DecodeCacheStats,
-    /// Sharded-event-queue counters summed over the workload's machines
-    /// (schema v4). All zero on the default calendar queue; nonzero lane
-    /// pushes prove a sharded run actually ran sharded.
-    pub queue: EventQueueStats,
     /// Memory-op-fused executor counters summed over the workload's
-    /// machines (schema v4). All zero when fusion (or the decode cache)
-    /// is off.
+    /// machines (schema v4). All zero when the decode cache is off.
     pub fused: FusedMemStats,
 }
 
@@ -71,7 +64,6 @@ fn sample(
     sim: Measurement,
     wall_seconds: f64,
     decode: DecodeCacheStats,
-    queue: EventQueueStats,
     fused: FusedMemStats,
 ) -> ThroughputSample {
     ThroughputSample {
@@ -80,7 +72,6 @@ fn sample(
         wall_seconds,
         instr_per_sec: sim.instructions as f64 / wall_seconds.max(1e-9),
         decode,
-        queue,
         fused,
     }
 }
@@ -93,7 +84,6 @@ struct Fig4Part {
     sim: Measurement,
     wall: f64,
     decode: DecodeCacheStats,
-    queue: EventQueueStats,
     fused: FusedMemStats,
 }
 
@@ -107,7 +97,6 @@ fn fig4_finish(mechanism: BarrierMechanism, cores: usize, mut m: cmp_sim::Machin
         sim: Measurement::new(&summary, &m.stats()),
         wall,
         decode: m.decode_stats(),
-        queue: m.queue_stats(),
         fused: m.fused_stats(),
     }
 }
@@ -128,7 +117,6 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
     let mut sim = Measurement::default();
     let mut wall = 0f64;
     let mut decode = DecodeCacheStats::default();
-    let mut queue = EventQueueStats::default();
     let mut fused = FusedMemStats::default();
     for part in parts {
         sim.cycles += part.sim.cycles;
@@ -137,23 +125,13 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
         decode.hits += part.decode.hits;
         decode.builds += part.decode.builds;
         decode.invalidations += part.decode.invalidations;
-        queue.core_events += part.queue.core_events;
-        queue.shared_events += part.queue.shared_events;
-        queue.head_rescans += part.queue.head_rescans;
         fused.loads += part.fused.loads;
         fused.stores += part.fused.stores;
         fused.memo_hits += part.fused.memo_hits;
         sim.episodes.merge(&part.sim.episodes);
     }
     sim.stats_digest = fold_fig4_digests(parts.iter().map(|p| p.sim.stats_digest));
-    sample(
-        &format!("fig4_{cores}core"),
-        sim,
-        wall,
-        decode,
-        queue,
-        fused,
-    )
+    sample(&format!("fig4_{cores}core"), sim, wall, decode, fused)
 }
 
 /// The per-mechanism [`RunSpec`]s of the fig4 workload: every mechanism
@@ -196,7 +174,7 @@ pub fn fig4_sample(cores: usize, inner: u64, outer: u64) -> ThroughputSample {
 }
 
 /// [`fig4_sample`] with every engine fast-path knob explicit (a `None`
-/// knob keeps the process default) and a hook that may attach a trace
+/// knob keeps the config default) and a hook that may attach a trace
 /// sink (e.g. a race detector) to each mechanism's machine once its
 /// barrier is registered. Knobs are host-side execution strategies and
 /// sinks are observers: every combination must yield a bit-identical
@@ -245,7 +223,6 @@ pub fn viterbi_sample(data_bits: usize, threads: usize) -> ThroughputSample {
         outcome.sim,
         wall,
         outcome.decode,
-        outcome.queue,
         outcome.fused,
     )
 }
@@ -282,7 +259,6 @@ pub fn viterbi_sample_traced(
         outcome.sim,
         wall,
         outcome.decode,
-        outcome.queue,
         outcome.fused,
     )
 }
@@ -386,13 +362,13 @@ pub struct ThroughputDoc {
 /// Serialize the document as `BENCH_throughput.json` (std-only,
 /// hand-rolled JSON: the repo builds with no registry access).
 ///
-/// Schema `fastbar-throughput/v4` extends v3 with per-sample `queue`
-/// (sharded-event-queue lane pushes and cohort rebuilds; all zero on the
-/// default calendar queue) and `fused` (memory-op-fused executor loads,
-/// stores and line-memo hits) objects — host-side engine counters; every
-/// simulated field keeps its v3 meaning.
+/// Schema `fastbar-throughput/v5`: per-sample simulated fields
+/// (`sim_cycles`, `sim_instructions`, `stats_digest`, `episodes`) plus the
+/// host-side engine counter objects `decode` (decoded-superblock cache
+/// hits, builds, invalidations) and `fused` (memory-op-fused executor
+/// loads, stores and line-memo hits).
 pub fn to_json(doc: &ThroughputDoc) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fastbar-throughput/v4\",\n");
+    let mut out = String::from("{\n  \"schema\": \"fastbar-throughput/v5\",\n");
     out.push_str(&format!("  \"jobs\": {},\n", doc.jobs));
     out.push_str(&format!("  \"host_threads\": {},\n", doc.host_threads));
     out.push_str(&format!(
@@ -432,11 +408,6 @@ pub fn to_json(doc: &ThroughputDoc) -> String {
         out.push_str(&format!(
             "\"decode\": {{\"hits\": {}, \"builds\": {}, \"invalidations\": {}}}, ",
             d.hits, d.builds, d.invalidations,
-        ));
-        let q = &s.queue;
-        out.push_str(&format!(
-            "\"queue\": {{\"core_events\": {}, \"shared_events\": {}, \"head_rescans\": {}}}, ",
-            q.core_events, q.shared_events, q.head_rescans,
         ));
         let f = &s.fused;
         out.push_str(&format!(
@@ -485,14 +456,6 @@ mod tests {
         }
     }
 
-    fn queue(core_events: u64, shared_events: u64, head_rescans: u64) -> EventQueueStats {
-        EventQueueStats {
-            core_events,
-            shared_events,
-            head_rescans,
-        }
-    }
-
     fn fused(loads: u64, stores: u64, memo_hits: u64) -> FusedMemStats {
         FusedMemStats {
             loads,
@@ -533,19 +496,11 @@ mod tests {
                 meas(10, 20, 7),
                 0.5,
                 decode(100, 4, 1),
-                queue(50, 6, 9),
                 fused(30, 2, 25),
             ),
-            sample(
-                "w2",
-                meas(1, 2, 9),
-                0.25,
-                decode(0, 0, 0),
-                queue(0, 0, 0),
-                fused(0, 0, 0),
-            ),
+            sample("w2", meas(1, 2, 9), 0.25, decode(0, 0, 0), fused(0, 0, 0)),
         ]));
-        assert!(j.contains("fastbar-throughput/v4"));
+        assert!(j.contains("fastbar-throughput/v5"));
         assert!(j.contains("\"jobs\": 2"));
         assert!(j.contains("\"host_threads\": 8"));
         assert!(j.contains("\"serial_wall_seconds\": 1.500000"));
@@ -563,14 +518,8 @@ mod tests {
         );
         assert!(j.contains("\"decode\": {\"hits\": 0, \"builds\": 0, \"invalidations\": 0}"));
         assert!(
-            j.contains(
-                "\"queue\": {\"core_events\": 50, \"shared_events\": 6, \"head_rescans\": 9}"
-            ),
-            "v4 samples carry the sharded-queue counters"
-        );
-        assert!(
             j.contains("\"fused\": {\"loads\": 30, \"stores\": 2, \"memo_hits\": 25}"),
-            "v4 samples carry the fused-memory counters"
+            "samples carry the fused-memory counters"
         );
         assert!(j.contains("\"fused\": {\"loads\": 0, \"stores\": 0, \"memo_hits\": 0}"));
     }
@@ -582,7 +531,6 @@ mod tests {
             meas(1, 1, 0),
             0.5,
             decode(0, 0, 0),
-            queue(0, 0, 0),
             fused(0, 0, 0),
         )]));
         assert!(j.contains("\"workload\": \"w\\\"quoted\\\\slash\""));

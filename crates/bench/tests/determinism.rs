@@ -301,24 +301,20 @@ fn parallel_sweep_matches_serial_sweep() {
 
 /// The engine fast-path contract, as a full matrix: the core-step burst
 /// (consuming a core's own ready events in place while every queued event
-/// is strictly later), the decoded-superblock cache (executing
-/// pre-decoded instruction runs without touching `Program::fetch`), the
-/// sharded per-core event lanes, and the memory-op-fused decoded executor
-/// are execution shortcuts, not model changes. Every combination of
-/// `burst_budget ∈ {0, 1, 64}` × `decode_cache` × `event_shards` ×
-/// `fused_memory` must yield a bit-identical `RunSummary`, full
-/// `MachineStats`, and digest for every barrier mechanism. The matrix is
-/// held non-vacuous through the engine's own host-side counters: budgets
-/// 0 and 1 must never burst (a burst needs at least two steps), budget 64
-/// must; the decode cache must hit when enabled and stay silent when
-/// disabled; a sharded run must push lane events while a calendar run
-/// reports all-zero queue stats; and fused memory must retire fused
-/// accesses exactly when it and the decode cache are both on — for every
-/// mechanism whose barrier loop touches data memory at all (filter-i
-/// stores its arrival flag then sleeps on an interrupt, so its loop can
-/// legitimately retire zero fused *loads*), with an aggregate check that
-/// fused loads and line-memo hits actually happened somewhere in the
-/// matrix.
+/// is strictly later) and the decoded-superblock cache (executing
+/// pre-decoded instruction runs, with memory ops fused, without touching
+/// `Program::fetch`) are execution shortcuts, not model changes. Every
+/// combination of `burst_budget ∈ {0, 1, 64}` × `decode_cache` must yield
+/// a bit-identical `RunSummary`, full `MachineStats`, and digest for every
+/// barrier mechanism. The matrix is held non-vacuous through the engine's
+/// own host-side counters: budgets 0 and 1 must never burst (a burst
+/// needs at least two steps), budget 64 must; with the decode cache on it
+/// must hit and retire fused accesses — for every mechanism whose barrier
+/// loop touches data memory at all (filter-i stores its arrival flag then
+/// sleeps on an interrupt, so its loop can legitimately retire zero fused
+/// *loads*), with an aggregate check that fused loads and line-memo hits
+/// actually happened somewhere in the matrix; with it off, every decode
+/// and fused counter must read zero.
 #[test]
 fn engine_fast_paths_never_change_simulated_behaviour() {
     let (cores, inner, outer) = (8, 8, 2);
@@ -335,81 +331,53 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
                 m.stats().clone(),
                 m.burst_retired(),
                 m.decode_stats(),
-                m.queue_stats(),
                 m.fused_stats(),
             )
         };
         let (ref_sum, ref_stats, ..) = run(EngineKnobs {
             burst_budget: Some(0),
             decode_cache: Some(false),
-            event_shards: Some(false),
-            fused_memory: Some(false),
         });
         let ref_digest = ref_stats.digest();
+        let l1d_traffic: u64 = ref_stats.l1d.iter().map(|c| c.hits + c.misses).sum();
         for budget in budgets {
             for decode in [false, true] {
-                for shards in [false, true] {
-                    for fused in [false, true] {
-                        let label = format!(
-                            "{mechanism} budget={budget} decode={decode} \
-                             shards={shards} fused={fused}"
+                let label = format!("{mechanism} budget={budget} decode={decode}");
+                let (sum, stats, bursts, dstats, fstats) = run(EngineKnobs {
+                    burst_budget: Some(budget),
+                    decode_cache: Some(decode),
+                });
+                assert_eq!(sum, ref_sum, "{label}: RunSummary diverged");
+                assert_eq!(stats, ref_stats, "{label}: full MachineStats diverged");
+                assert_eq!(stats.digest(), ref_digest, "{label}: digest diverged");
+                if budget < 2 {
+                    assert_eq!(bursts, 0, "{label}: a burst needs at least two steps");
+                } else {
+                    assert!(bursts > 0, "{label}: burst path never engaged — vacuous");
+                }
+                if decode {
+                    assert!(dstats.hits > 0, "{label}: decode cache never hit — vacuous");
+                    assert!(dstats.builds > 0, "{label}: decode cache built nothing");
+                    if l1d_traffic > 0 {
+                        assert!(
+                            fstats.loads + fstats.stores > 0,
+                            "{label}: loop touches data memory but the fused \
+                             executor retired nothing — vacuous"
                         );
-                        let (sum, stats, bursts, dstats, qstats, fstats) = run(EngineKnobs {
-                            burst_budget: Some(budget),
-                            decode_cache: Some(decode),
-                            event_shards: Some(shards),
-                            fused_memory: Some(fused),
-                        });
-                        assert_eq!(sum, ref_sum, "{label}: RunSummary diverged");
-                        assert_eq!(stats, ref_stats, "{label}: full MachineStats diverged");
-                        assert_eq!(stats.digest(), ref_digest, "{label}: digest diverged");
-                        if budget < 2 {
-                            assert_eq!(bursts, 0, "{label}: a burst needs at least two steps");
-                        } else {
-                            assert!(bursts > 0, "{label}: burst path never engaged — vacuous");
-                        }
-                        if decode {
-                            assert!(dstats.hits > 0, "{label}: decode cache never hit — vacuous");
-                            assert!(dstats.builds > 0, "{label}: decode cache built nothing");
-                        } else {
-                            assert_eq!(
-                                dstats,
-                                Default::default(),
-                                "{label}: disabled decode cache must stay silent"
-                            );
-                        }
-                        if shards {
-                            assert!(
-                                qstats.core_events > 0,
-                                "{label}: sharded queue saw no lane events — vacuous"
-                            );
-                        } else {
-                            assert_eq!(
-                                qstats,
-                                Default::default(),
-                                "{label}: calendar queue must report zero lane stats"
-                            );
-                        }
-                        if decode && fused {
-                            let l1d_traffic: u64 =
-                                ref_stats.l1d.iter().map(|c| c.hits + c.misses).sum();
-                            if l1d_traffic > 0 {
-                                assert!(
-                                    fstats.loads + fstats.stores > 0,
-                                    "{label}: loop touches data memory but the fused \
-                                     executor retired nothing — vacuous"
-                                );
-                            }
-                            fused_loads_anywhere += fstats.loads;
-                            fused_memo_hits_anywhere += fstats.memo_hits;
-                        } else {
-                            assert_eq!(
-                                fstats,
-                                Default::default(),
-                                "{label}: fused-memory counters must stay silent"
-                            );
-                        }
                     }
+                    fused_loads_anywhere += fstats.loads;
+                    fused_memo_hits_anywhere += fstats.memo_hits;
+                } else {
+                    assert_eq!(
+                        dstats,
+                        Default::default(),
+                        "{label}: disabled decode cache must stay silent"
+                    );
+                    assert_eq!(
+                        fstats,
+                        Default::default(),
+                        "{label}: fused-memory counters must stay silent"
+                    );
                 }
             }
         }
@@ -426,43 +394,34 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
 
 /// The knob matrix beyond the flat topology: one 256-core clustered point
 /// (16 clusters × 16 cores, tree-combining software barrier) must produce
-/// the identical `Measurement` — digest included — on the calendar queue
-/// and on the sharded lanes, with and without the fused executor. This is
-/// the scale regime the sharded queue was designed for, so the
-/// equivalence is asserted where the lane count is largest, and held
-/// non-vacuous through the same counters as the flat matrix.
+/// the identical `Measurement` — digest included — with the decode cache
+/// on and off, held non-vacuous through the same counters as the flat
+/// matrix.
 #[test]
 fn clustered_256_core_knob_matrix_is_digest_invariant() {
-    let run = |shards: bool, fused: bool| {
+    let run = |decode: bool| {
         let spec = RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2)
             .clustered(scale_clusters(256))
             .with_knobs(EngineKnobs {
-                event_shards: Some(shards),
-                fused_memory: Some(fused),
+                decode_cache: Some(decode),
                 ..EngineKnobs::default()
             });
         let mut m = fig4_machine(&spec).expect("256-core clustered machine");
         let summary = m.run().expect("256-core clustered run");
-        (
-            Measurement::new(&summary, &m.stats()),
-            m.queue_stats(),
-            m.fused_stats(),
-        )
+        (Measurement::new(&summary, &m.stats()), m.fused_stats())
     };
-    let (reference, q0, _) = run(false, false);
-    assert_eq!(q0, Default::default(), "calendar queue stats must be zero");
-    for (shards, fused) in [(false, true), (true, false), (true, true)] {
-        let label = format!("256-core shards={shards} fused={fused}");
-        let (m, q, f) = run(shards, fused);
-        assert_eq!(m, reference, "{label}: Measurement diverged");
-        if shards {
-            assert!(q.core_events > 0, "{label}: no lane events — vacuous");
-            assert!(q.head_rescans > 0, "{label}: no cohort rebuilds — vacuous");
-        }
-        if fused {
-            assert!(f.loads > 0, "{label}: no fused loads — vacuous");
-        }
-    }
+    let (reference, off) = run(false);
+    assert_eq!(
+        off,
+        Default::default(),
+        "decode off must retire nothing fused"
+    );
+    let (on, fused) = run(true);
+    assert_eq!(on, reference, "256-core decode=true: Measurement diverged");
+    assert!(
+        fused.loads > 0,
+        "256-core decode=true: no fused loads — vacuous"
+    );
 }
 
 /// The decode cache must reproduce the *pinned* digests of both committed

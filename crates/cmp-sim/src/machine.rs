@@ -34,7 +34,7 @@ use crate::coherence::{Directory, ReadOutcome};
 use crate::core::{Continuation, Core, Waiting};
 use crate::decode::{DecodeCache, DecodeCacheStats, FusedMemStats, MemClass};
 use crate::error::SimError;
-use crate::event_queue::{EngineQueue, EventQueueStats};
+use crate::event_queue::CalendarQueue;
 use crate::fastmap::FxHashMap;
 use crate::hook::{
     BankHook, FillDecision, HookOutcome, HookViolation, ParkToken, FILL_ERROR_SENTINEL,
@@ -269,10 +269,8 @@ pub struct Machine {
     l3_port: Resource,
     hooks: Vec<Option<Box<dyn BankHook>>>,
     hwnet: DedicatedNetwork,
-    /// The event queue: per-core lanes + a shared lane
-    /// ([`SimConfig::event_shards`]) or the single calendar queue. Lane
-    /// routing lives in [`schedule`](Machine::schedule).
-    events: EngineQueue<Ev>,
+    /// The event queue, drained in `(cycle, seq)` order.
+    events: CalendarQueue<Ev>,
     now: u64,
     /// Fills parked at bank hooks (O(1) by core and by token; see
     /// [`ParkedSet`]).
@@ -376,7 +374,7 @@ impl Machine {
             l3_port: Resource::new(),
             hooks,
             hwnet,
-            events: EngineQueue::new(config.event_shards, n),
+            events: CalendarQueue::new(),
             now: 0,
             parked: ParkedSet::new(n),
             next_token: 0,
@@ -390,7 +388,7 @@ impl Machine {
             burst_core: usize::MAX,
             burst_ready: None,
             burst_retired: 0,
-            decode: DecodeCache::new(&program, config.decode_cache && config.fused_memory),
+            decode: DecodeCache::new(&program),
             decode_on: config.decode_cache,
             fused: FusedMemStats::default(),
             live_links: 0,
@@ -402,23 +400,10 @@ impl Machine {
         };
         for c in 0..m.cores.len() {
             if !m.cores[c].halted {
-                m.schedule(0, Ev::CoreReady(c as u32));
+                m.events.push(0, Ev::CoreReady(c as u32));
             }
         }
         m
-    }
-
-    /// Enqueue an event, routing it to its queue lane: core-addressed
-    /// events (ready, store retire, fills) go to that core's lane, bank
-    /// hook traffic to the shared lane. Routing is pure dispatch — the
-    /// drain order is the same total `(cycle, seq)` order either way.
-    fn schedule(&mut self, cycle: u64, ev: Ev) {
-        let lane = match ev {
-            Ev::CoreReady(c) | Ev::StoreRetire(c) => c as usize,
-            Ev::FillReady { core, .. } | Ev::FillDone { core, .. } => core as usize,
-            Ev::HookInvalidate { .. } | Ev::HookDeadline { .. } => self.cores.len(),
-        };
-        self.events.push(lane, cycle, ev);
     }
 
     fn trace(&mut self, ev: TraceEvent) {
@@ -574,7 +559,7 @@ impl Machine {
                 && at <= self.config.cycle_limit
                 && self.events.all_later_than(at);
             if !burst_on {
-                self.schedule(at, Ev::CoreReady(c as u32));
+                self.events.push(at, Ev::CoreReady(c as u32));
                 break Ok(());
             }
             self.burst_retired += 1;
@@ -645,19 +630,10 @@ impl Machine {
         self.decode.stats()
     }
 
-    /// Sharded-event-queue counters so far (per-lane push counts, head
-    /// rescans). All zero when the machine runs the calendar queue
-    /// ([`SimConfig::event_shards`] off) — which is what lets tests prove
-    /// the knob actually switched implementations. Host-side engine
-    /// metrics, not part of [`MachineStats`] or its digest.
-    pub fn queue_stats(&self) -> EventQueueStats {
-        self.events.stats()
-    }
-
     /// Memory-op-fused executor counters so far (fused loads/stores, line-
-    /// memo hits). All zero unless both [`SimConfig::decode_cache`] and
-    /// [`SimConfig::fused_memory`] are on. Host-side engine metrics, not
-    /// part of [`MachineStats`] or its digest.
+    /// memo hits). All zero while [`SimConfig::decode_cache`] is off.
+    /// Host-side engine metrics, not part of [`MachineStats`] or its
+    /// digest.
     pub fn fused_stats(&self) -> FusedMemStats {
         self.fused
     }
@@ -930,19 +906,19 @@ impl Machine {
         self.cores[c].store_buffer.pop_front();
         if let Some(&line) = self.cores[c].store_buffer.front() {
             match self.store_path(c, line, now, FillPurpose::StoreDrain)? {
-                StoreOutcome::Done(t) => self.schedule(t, Ev::StoreRetire(c as u32)),
+                StoreOutcome::Done(t) => self.events.push(t, Ev::StoreRetire(c as u32)),
                 StoreOutcome::Pending => {}
             }
         } else {
             self.cores[c].draining = false;
             if let Waiting::Fence { residual } = self.cores[c].waiting {
                 self.cores[c].waiting = Waiting::None;
-                self.schedule(now + residual, Ev::CoreReady(c as u32));
+                self.events.push(now + residual, Ev::CoreReady(c as u32));
             }
         }
         if matches!(self.cores[c].waiting, Waiting::StoreSlot) {
             self.cores[c].waiting = Waiting::None;
-            self.schedule(now, Ev::CoreReady(c as u32));
+            self.events.push(now, Ev::CoreReady(c as u32));
         }
         Ok(())
     }
@@ -961,7 +937,7 @@ impl Machine {
         let done = self.net.data(from, to, self.now) + 1;
         match purpose {
             FillPurpose::Resume => {
-                self.schedule(
+                self.events.push(
                     done,
                     Ev::FillDone {
                         core: c as u32,
@@ -973,7 +949,7 @@ impl Machine {
             FillPurpose::StoreDrain => {
                 self.fill_l1(c, line, kind, done);
                 self.cores[c].mshr_used = self.cores[c].mshr_used.saturating_sub(1);
-                self.schedule(done, Ev::StoreRetire(c as u32));
+                self.events.push(done, Ev::StoreRetire(c as u32));
             }
         }
         Ok(())
@@ -1004,7 +980,7 @@ impl Machine {
                     return Err(SimError::IFetchErrorReply { core: c, line });
                 }
                 self.fill_l1(c, line, AccessKind::IFetch, at);
-                self.schedule(at, Ev::CoreReady(c as u32));
+                self.events.push(at, Ev::CoreReady(c as u32));
             }
             Continuation::Load {
                 rd,
@@ -1031,7 +1007,7 @@ impl Machine {
                 if set_link {
                     self.set_link(c, line);
                 }
-                self.schedule(at, Ev::CoreReady(c as u32));
+                self.events.push(at, Ev::CoreReady(c as u32));
             }
             Continuation::FLoad { fd, addr } => {
                 if !error {
@@ -1048,7 +1024,7 @@ impl Machine {
                     self.mem.read_f64(addr)
                 };
                 self.cores[c].set_freg(fd, value);
-                self.schedule(at, Ev::CoreReady(c as u32));
+                self.events.push(at, Ev::CoreReady(c as u32));
             }
             Continuation::Sc { rd, src, addr } => {
                 // The success of a store-conditional is decided when the
@@ -1067,7 +1043,7 @@ impl Machine {
                     });
                 }
                 self.cores[c].set_reg(rd, ok as u64);
-                self.schedule(at, Ev::CoreReady(c as u32));
+                self.events.push(at, Ev::CoreReady(c as u32));
             }
         }
         Ok(())
@@ -1128,7 +1104,7 @@ impl Machine {
         let d = d.max(self.now);
         if self.scheduled_deadlines[bank].is_none_or(|s| s > d) {
             self.scheduled_deadlines[bank] = Some(d);
-            self.schedule(d, Ev::HookDeadline { bank: bank as u32 });
+            self.events.push(d, Ev::HookDeadline { bank: bank as u32 });
         }
     }
 
@@ -1177,7 +1153,7 @@ impl Machine {
                         line: p.line,
                     });
                 }
-                self.schedule(
+                self.events.push(
                     done,
                     Ev::FillDone {
                         core: p.core as u32,
@@ -1283,7 +1259,7 @@ impl Machine {
                     let arrive = self.net.cmd(from, to, t);
                     let g = self.line_acquire(line, arrive, l2_lat);
                     let ready = g + l2_lat;
-                    self.schedule(
+                    self.events.push(
                         ready,
                         Ev::FillReady {
                             core: c as u32,
@@ -1318,7 +1294,7 @@ impl Machine {
                     let arrive = self.net.cmd(from, to, t);
                     let g = self.line_acquire(line, arrive, l2_lat);
                     let ready = g + l2_lat;
-                    self.schedule(
+                    self.events.push(
                         ready,
                         Ev::FillReady {
                             core: c as u32,
@@ -1375,7 +1351,7 @@ impl Machine {
                     self.trace(TraceEvent::Serviced { core: c, line });
                     let th = self.hook_ports[bank].acquire(t, hook_cy);
                     let ready = th + hook_cy + l2_lat;
-                    self.schedule(
+                    self.events.push(
                         ready,
                         Ev::FillReady {
                             core: c as u32,
@@ -1421,7 +1397,7 @@ impl Machine {
             }
             self.l2[bank].insert(line, LineState::Shared);
         }
-        self.schedule(
+        self.events.push(
             t,
             Ev::FillReady {
                 core: c as u32,
@@ -1528,7 +1504,7 @@ impl Machine {
             // the queue untouched.
             self.burst_ready = Some(at);
         } else {
-            self.schedule(at, Ev::CoreReady(c as u32));
+            self.events.push(at, Ev::CoreReady(c as u32));
         }
     }
 
@@ -1547,14 +1523,14 @@ impl Machine {
         if c == self.burst_core {
             self.burst_ready = Some(at);
         } else {
-            self.schedule(at, Ev::CoreReady(c as u32));
+            self.events.push(at, Ev::CoreReady(c as u32));
         }
     }
 
     fn finish_at(&mut self, c: usize, at: u64, next_pc: u64) {
         self.cores[c].pc = next_pc;
         self.cores[c].stats.instructions += 1;
-        self.schedule(at, Ev::CoreReady(c as u32));
+        self.events.push(at, Ev::CoreReady(c as u32));
     }
 
     /// Execute one instruction on core `c`, routed through the decoded
@@ -1662,12 +1638,11 @@ impl Machine {
         let core = &mut self.cores[c];
         core.dec_pos = pos + 1;
         core.dec_pc = pc + sim_isa::INSTR_BYTES;
-        // Memory-op-fused dispatch: the decode cache bakes `Other` for
-        // every op when fusion is off, so this match *is* the knob — the
-        // hot loop never tests the config. The fused arms perform exactly
-        // the interpreter arms' simulated actions in the same order (see
-        // each helper's digest argument); only the dispatch and the L1D
-        // set walk are elided.
+        // Memory-op-fused dispatch: the decode cache bakes a descriptor
+        // for every plain load and store and `Other` for the rest. The
+        // fused arms perform exactly the interpreter arms' simulated
+        // actions in the same order (see each helper's digest argument);
+        // only the dispatch and the L1D set walk are elided.
         let units = u64::from(op.units);
         match op.mem {
             MemClass::Other => self.exec_instr(c, pc, op.instr, units),
@@ -1857,7 +1832,7 @@ impl Machine {
                         Some(LineState::Modified) => {
                             self.cores[c].mshr_used += 1;
                             self.cores[c].note_mshr();
-                            self.schedule(
+                            self.events.push(
                                 start + self.config.l1d.latency,
                                 Ev::FillDone {
                                     core: c as u32,
@@ -1888,7 +1863,7 @@ impl Machine {
                             let g = self.line_acquire(line, arrive, busy);
                             self.cores[c].mshr_used += 1;
                             self.cores[c].note_mshr();
-                            self.schedule(
+                            self.events.push(
                                 g + busy,
                                 Ev::FillDone {
                                     core: c as u32,
@@ -1979,7 +1954,7 @@ impl Machine {
                         for (core, at) in list {
                             self.cores[core].waiting = Waiting::None;
                             self.trace(TraceEvent::HwBarRelease { core, id });
-                            self.schedule(at, Ev::CoreReady(core as u32));
+                            self.events.push(at, Ev::CoreReady(core as u32));
                         }
                         let ev = self.tracker.close_hw(id, now, resume);
                         self.trace(ev);
@@ -2259,7 +2234,7 @@ impl Machine {
             self.cores[c].draining = true;
             let issue_at = now + self.config.timing.store_issue;
             match self.store_path(c, line, issue_at, FillPurpose::StoreDrain)? {
-                StoreOutcome::Done(at) => self.schedule(at, Ev::StoreRetire(c as u32)),
+                StoreOutcome::Done(at) => self.events.push(at, Ev::StoreRetire(c as u32)),
                 StoreOutcome::Pending => {}
             }
         }
@@ -2319,7 +2294,7 @@ impl Machine {
         // The invalidation message reaches the bank controller one cycle
         // after leaving the bus — the same pipe fills traverse, preserving
         // invalidate-before-fill ordering per issuing core.
-        self.schedule(
+        self.events.push(
             done + 1,
             Ev::HookInvalidate {
                 bank: bank as u32,

@@ -2,8 +2,8 @@
 
 use barrier_filter::BarrierSystem;
 use cmp_sim::{
-    run_with_faults, AddressSpace, DecodeCacheStats, EventQueueStats, FaultPlan, FaultReport,
-    FusedMemStats, Machine, MachineBuilder, Measurement, SimConfig, TraceConfig, TraceSink,
+    run_with_faults, AddressSpace, DecodeCacheStats, FaultPlan, FaultReport, FusedMemStats,
+    Machine, MachineBuilder, Measurement, SimConfig, TraceConfig, TraceSink,
 };
 use sim_isa::{Asm, Reg};
 
@@ -29,11 +29,8 @@ pub struct KernelOutcome {
     /// [`SimConfig::decode_cache`](cmp_sim::SimConfig::decode_cache) while
     /// `sim` stays bit-identical, so they live outside [`Measurement`].
     pub decode: DecodeCacheStats,
-    /// Sharded-event-queue counters (all zero on the default calendar
-    /// queue). Host-side engine metrics, like `decode`.
-    pub queue: EventQueueStats,
-    /// Memory-op-fused executor counters (all zero when fusion or the
-    /// decode cache is off). Host-side engine metrics, like `decode`.
+    /// Memory-op-fused executor counters (all zero when the decode cache
+    /// is off). Host-side engine metrics, like `decode`.
     pub fused: FusedMemStats,
     /// Mean wait on the more contended of the two shared buses
     /// (address/data), in cycles per access — the Figure 4 saturation
@@ -43,7 +40,7 @@ pub struct KernelOutcome {
 }
 
 /// Optional overrides for the engine fast-path knobs, applied on top of
-/// the process defaults when a kernel machine is configured. `None`
+/// the config defaults when a kernel machine is configured. `None`
 /// leaves the corresponding [`SimConfig`] field alone. Every knob is a
 /// host-side execution strategy: any combination must leave the kernel's
 /// [`Measurement`] — digest included — bit-identical
@@ -56,10 +53,6 @@ pub struct EngineKnobs {
     pub burst_budget: Option<u32>,
     /// Override for [`SimConfig::decode_cache`].
     pub decode_cache: Option<bool>,
-    /// Override for [`SimConfig::event_shards`].
-    pub event_shards: Option<bool>,
-    /// Override for [`SimConfig::fused_memory`].
-    pub fused_memory: Option<bool>,
 }
 
 impl EngineKnobs {
@@ -70,12 +63,6 @@ impl EngineKnobs {
         }
         if let Some(d) = self.decode_cache {
             config.decode_cache = d;
-        }
-        if let Some(s) = self.event_shards {
-            config.event_shards = s;
-        }
-        if let Some(f) = self.fused_memory {
-            config.fused_memory = f;
         }
     }
 }
@@ -164,7 +151,6 @@ pub(crate) fn run_reps_faulted(
             sim: Measurement::new(&summary, &stats),
             cycles_per_rep: summary.cycles as f64 / reps as f64,
             decode: machine.decode_stats(),
-            queue: machine.queue_stats(),
             fused: machine.fused_stats(),
             bus_mean_wait: stats.addr_bus.mean_wait().max(stats.data_bus.mean_wait()),
         },

@@ -506,19 +506,11 @@ impl RunSpec {
             }
             None => out.push_str("\"burst_budget\":null"),
         }
-        for (name, v) in [
-            ("decode_cache", self.exec.knobs.decode_cache),
-            ("event_shards", self.exec.knobs.event_shards),
-            ("fused_memory", self.exec.knobs.fused_memory),
-        ] {
-            match v {
-                Some(b) => {
-                    let _ = write!(out, ",\"{name}\":{b}");
-                }
-                None => {
-                    let _ = write!(out, ",\"{name}\":null");
-                }
+        match self.exec.knobs.decode_cache {
+            Some(d) => {
+                let _ = write!(out, ",\"decode_cache\":{d}");
             }
+            None => out.push_str(",\"decode_cache\":null"),
         }
         out.push('}');
         match self.exec.faults {
@@ -590,17 +582,11 @@ impl RunSpec {
                         })? as u32);
                     }
                 }
-                for (name, slot) in [
-                    ("decode_cache", &mut knobs.decode_cache),
-                    ("event_shards", &mut knobs.event_shards),
-                    ("fused_memory", &mut knobs.fused_memory),
-                ] {
-                    if let Some(v) = k.get(name) {
-                        if !v.is_null() {
-                            *slot = Some(v.as_bool().ok_or_else(|| {
-                                KernelError::Spec(format!("knobs.{name} must be a bool"))
-                            })?);
-                        }
+                if let Some(d) = k.get("decode_cache") {
+                    if !d.is_null() {
+                        knobs.decode_cache = Some(d.as_bool().ok_or_else(|| {
+                            KernelError::Spec("knobs.decode_cache must be a bool".into())
+                        })?);
                     }
                 }
             }
@@ -849,8 +835,6 @@ mod tests {
                 .with_knobs(EngineKnobs {
                     burst_budget: Some(0),
                     decode_cache: Some(true),
-                    event_shards: Some(false),
-                    fused_memory: None,
                 }),
         );
         roundtrip(RunSpec::parallel(
@@ -898,6 +882,26 @@ mod tests {
                 4,
                 BarrierMechanism::SwCentral
             )
+        );
+    }
+
+    #[test]
+    fn v1_spec_with_retired_engine_knobs_parses_and_runs_unchanged() {
+        // Older v1 clients also sent `event_shards` and `fused_memory`
+        // knobs; both options are gone, and the tolerant decoder ignores
+        // them like any unknown field.
+        let legacy = RunSpec::parse(
+            r#"{"schema":"fastbar-spec/v1","workload":{"kind":"fig4","inner":4,"outer":2},
+                "threads":4,"mechanism":"filter-d","clusters":1,
+                "knobs":{"burst_budget":null,"decode_cache":null,
+                         "event_shards":true,"fused_memory":false},"faults":null}"#,
+        )
+        .expect("legacy v1 spec parses");
+        let current = RunSpec::fig4(BarrierMechanism::FilterD, 4, 4, 2);
+        assert_eq!(legacy, current);
+        assert_eq!(
+            run(&legacy).unwrap().outcome.sim.stats_digest,
+            run(&current).unwrap().outcome.sim.stats_digest
         );
     }
 

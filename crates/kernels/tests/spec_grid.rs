@@ -76,7 +76,6 @@ fn every_kernel_honours_engine_knobs_and_keeps_its_digest() {
     let knobs = EngineKnobs {
         burst_budget: Some(1),
         decode_cache: Some(false),
-        ..EngineKnobs::default()
     };
     for spec in parallel_grid() {
         let kind = spec.workload.kind();
