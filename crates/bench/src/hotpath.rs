@@ -38,6 +38,9 @@ pub struct HotpathPoint {
     pub instructions: u64,
     /// Host wall-clock seconds for the run (excludes machine build).
     pub wall_seconds: f64,
+    /// Of `instructions`, those the spin pool credited instead of
+    /// interpreting ([`cmp_sim::SpinStats::credited_instructions`]).
+    pub credited: u64,
 }
 
 impl HotpathPoint {
@@ -96,6 +99,7 @@ fn run_point(name: &str, body: Body, knobs: EngineKnobs) -> HotpathPoint {
         name: name.to_string(),
         instructions: summary.instructions,
         wall_seconds: t0.elapsed().as_secs_f64(),
+        credited: m.spin_stats().credited_instructions,
     }
 }
 
@@ -167,6 +171,15 @@ impl HotpathReport {
             "  memory stage, store                     : {:>6.2}\n",
             self.delta("alu", "store")
         ));
+        let fig4 = self.points.iter().filter(|p| p.name.starts_with("fig4/"));
+        let (credited, retired) =
+            fig4.fold((0, 0), |(c, r), p| (c + p.credited, r + p.instructions));
+        if retired > 0 {
+            out.push_str(&format!(
+                "  spin pool, fig4 instructions credited   : {:>5.1}%\n",
+                100.0 * credited as f64 / retired as f64
+            ));
+        }
         out
     }
 }
@@ -214,6 +227,7 @@ pub fn profile() -> HotpathReport {
     // path a regression lives in.
     let mut total_instr = 0u64;
     let mut total_wall = 0f64;
+    let mut total_credited = 0u64;
     for mechanism in BarrierMechanism::ALL {
         let mut m = build_latency_machine(mechanism, 16, 64, 64);
         let t0 = Instant::now();
@@ -223,16 +237,20 @@ pub fn profile() -> HotpathReport {
         let wall = t0.elapsed().as_secs_f64();
         total_instr += summary.instructions;
         total_wall += wall;
+        let credited = m.spin_stats().credited_instructions;
+        total_credited += credited;
         points.push(HotpathPoint {
             name: format!("fig4/{mechanism}"),
             instructions: summary.instructions,
             wall_seconds: wall,
+            credited,
         });
     }
     points.push(HotpathPoint {
         name: "fig4_16core (reference)".to_string(),
         instructions: total_instr,
         wall_seconds: total_wall,
+        credited: total_credited,
     });
     HotpathReport { points }
 }
@@ -263,6 +281,11 @@ mod tests {
             name: name.to_string(),
             instructions: 1_000_000,
             wall_seconds: ns * 1e-9 * 1_000_000.0,
+            credited: if name.starts_with("fig4/") {
+                750_000
+            } else {
+                0
+            },
         };
         let report = HotpathReport {
             points: vec![
@@ -272,9 +295,11 @@ mod tests {
                 mk("load_hit", 12.0),
                 mk("load_hit_decode_off", 15.0),
                 mk("store", 20.0),
+                mk("fig4/sw-central", 10.0),
             ],
         };
         let text = report.render();
+        assert!(text.contains("instructions credited   :  75.0%"));
         assert!(text.contains("schedule stage"));
         assert!(text.contains("decoded executor saving"));
         assert!(text.contains("25.00"), "burst0 delta = 30 - 5");

@@ -247,6 +247,7 @@ mod tests {
             cycles_per_rep: cycles as f64,
             decode: Default::default(),
             fused: Default::default(),
+            spin: Default::default(),
             bus_mean_wait: 0.0,
         })
     }

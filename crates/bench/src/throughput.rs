@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use barrier_filter::{Barrier, BarrierMechanism};
-use cmp_sim::{json_escape, DecodeCacheStats, FusedMemStats, Measurement, TraceSink};
+use cmp_sim::{json_escape, DecodeCacheStats, FusedMemStats, Measurement, SpinStats, TraceSink};
 use kernels::viterbi::Viterbi;
 use kernels::{EngineKnobs, ExecSpec, RunAttachments, RunSpec};
 
@@ -57,6 +57,10 @@ pub struct ThroughputSample {
     /// Memory-op-fused executor counters summed over the workload's
     /// machines (schema v4). All zero when the decode cache is off.
     pub fused: FusedMemStats,
+    /// Spin-pool counters summed over the workload's machines (schema
+    /// v6): parks, wakes and instructions credited instead of
+    /// interpreted. All zero when the decode cache is off.
+    pub spin: SpinStats,
 }
 
 fn sample(
@@ -65,6 +69,7 @@ fn sample(
     wall_seconds: f64,
     decode: DecodeCacheStats,
     fused: FusedMemStats,
+    spin: SpinStats,
 ) -> ThroughputSample {
     ThroughputSample {
         workload: workload.to_string(),
@@ -73,6 +78,7 @@ fn sample(
         instr_per_sec: sim.instructions as f64 / wall_seconds.max(1e-9),
         decode,
         fused,
+        spin,
     }
 }
 
@@ -85,6 +91,7 @@ struct Fig4Part {
     wall: f64,
     decode: DecodeCacheStats,
     fused: FusedMemStats,
+    spin: SpinStats,
 }
 
 fn fig4_finish(mechanism: BarrierMechanism, cores: usize, mut m: cmp_sim::Machine) -> Fig4Part {
@@ -98,6 +105,7 @@ fn fig4_finish(mechanism: BarrierMechanism, cores: usize, mut m: cmp_sim::Machin
         wall,
         decode: m.decode_stats(),
         fused: m.fused_stats(),
+        spin: m.spin_stats(),
     }
 }
 
@@ -118,6 +126,7 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
     let mut wall = 0f64;
     let mut decode = DecodeCacheStats::default();
     let mut fused = FusedMemStats::default();
+    let mut spin = SpinStats::default();
     for part in parts {
         sim.cycles += part.sim.cycles;
         sim.instructions += part.sim.instructions;
@@ -128,10 +137,13 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
         fused.loads += part.fused.loads;
         fused.stores += part.fused.stores;
         fused.memo_hits += part.fused.memo_hits;
+        spin.parks += part.spin.parks;
+        spin.wakes += part.spin.wakes;
+        spin.credited_instructions += part.spin.credited_instructions;
         sim.episodes.merge(&part.sim.episodes);
     }
     sim.stats_digest = fold_fig4_digests(parts.iter().map(|p| p.sim.stats_digest));
-    sample(&format!("fig4_{cores}core"), sim, wall, decode, fused)
+    sample(&format!("fig4_{cores}core"), sim, wall, decode, fused, spin)
 }
 
 /// The per-mechanism [`RunSpec`]s of the fig4 workload: every mechanism
@@ -224,6 +236,7 @@ pub fn viterbi_sample(data_bits: usize, threads: usize) -> ThroughputSample {
         wall,
         outcome.decode,
         outcome.fused,
+        outcome.spin,
     )
 }
 
@@ -260,6 +273,7 @@ pub fn viterbi_sample_traced(
         wall,
         outcome.decode,
         outcome.fused,
+        outcome.spin,
     )
 }
 
@@ -362,13 +376,14 @@ pub struct ThroughputDoc {
 /// Serialize the document as `BENCH_throughput.json` (std-only,
 /// hand-rolled JSON: the repo builds with no registry access).
 ///
-/// Schema `fastbar-throughput/v5`: per-sample simulated fields
+/// Schema `fastbar-throughput/v6`: per-sample simulated fields
 /// (`sim_cycles`, `sim_instructions`, `stats_digest`, `episodes`) plus the
 /// host-side engine counter objects `decode` (decoded-superblock cache
-/// hits, builds, invalidations) and `fused` (memory-op-fused executor
-/// loads, stores and line-memo hits).
+/// hits, builds, invalidations), `fused` (memory-op-fused executor
+/// loads, stores and line-memo hits) and `spin` (spin-pool parks, wakes
+/// and credited instructions).
 pub fn to_json(doc: &ThroughputDoc) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fastbar-throughput/v5\",\n");
+    let mut out = String::from("{\n  \"schema\": \"fastbar-throughput/v6\",\n");
     out.push_str(&format!("  \"jobs\": {},\n", doc.jobs));
     out.push_str(&format!("  \"host_threads\": {},\n", doc.host_threads));
     out.push_str(&format!(
@@ -411,8 +426,13 @@ pub fn to_json(doc: &ThroughputDoc) -> String {
         ));
         let f = &s.fused;
         out.push_str(&format!(
-            "\"fused\": {{\"loads\": {}, \"stores\": {}, \"memo_hits\": {}}}",
+            "\"fused\": {{\"loads\": {}, \"stores\": {}, \"memo_hits\": {}}}, ",
             f.loads, f.stores, f.memo_hits,
+        ));
+        let p = &s.spin;
+        out.push_str(&format!(
+            "\"spin\": {{\"parks\": {}, \"wakes\": {}, \"credited_instructions\": {}}}",
+            p.parks, p.wakes, p.credited_instructions,
         ));
         out.push('}');
         if i + 1 < samples.len() {
@@ -497,10 +517,22 @@ mod tests {
                 0.5,
                 decode(100, 4, 1),
                 fused(30, 2, 25),
+                SpinStats {
+                    parks: 3,
+                    wakes: 3,
+                    credited_instructions: 17,
+                },
             ),
-            sample("w2", meas(1, 2, 9), 0.25, decode(0, 0, 0), fused(0, 0, 0)),
+            sample(
+                "w2",
+                meas(1, 2, 9),
+                0.25,
+                decode(0, 0, 0),
+                fused(0, 0, 0),
+                SpinStats::default(),
+            ),
         ]));
-        assert!(j.contains("fastbar-throughput/v5"));
+        assert!(j.contains("fastbar-throughput/v6"));
         assert!(j.contains("\"jobs\": 2"));
         assert!(j.contains("\"host_threads\": 8"));
         assert!(j.contains("\"serial_wall_seconds\": 1.500000"));
@@ -522,6 +554,10 @@ mod tests {
             "samples carry the fused-memory counters"
         );
         assert!(j.contains("\"fused\": {\"loads\": 0, \"stores\": 0, \"memo_hits\": 0}"));
+        assert!(
+            j.contains("\"spin\": {\"parks\": 3, \"wakes\": 3, \"credited_instructions\": 17}"),
+            "v6 samples carry the spin-pool counters"
+        );
     }
 
     #[test]
@@ -532,6 +568,7 @@ mod tests {
             0.5,
             decode(0, 0, 0),
             fused(0, 0, 0),
+            SpinStats::default(),
         )]));
         assert!(j.contains("\"workload\": \"w\\\"quoted\\\\slash\""));
     }

@@ -313,8 +313,9 @@ fn parallel_sweep_matches_serial_sweep() {
 /// loop touches data memory at all (filter-i stores its arrival flag then
 /// sleeps on an interrupt, so its loop can legitimately retire zero fused
 /// *loads*), with an aggregate check that fused loads and line-memo hits
-/// actually happened somewhere in the matrix; with it off, every decode
-/// and fused counter must read zero.
+/// actually happened somewhere in the matrix, and the software barriers'
+/// flag spins must be credited by the spin pool rather than interpreted;
+/// with it off, every decode, fused and spin counter must read zero.
 #[test]
 fn engine_fast_paths_never_change_simulated_behaviour() {
     let (cores, inner, outer) = (8, 8, 2);
@@ -332,6 +333,7 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
                 m.burst_retired(),
                 m.decode_stats(),
                 m.fused_stats(),
+                m.spin_stats(),
             )
         };
         let (ref_sum, ref_stats, ..) = run(EngineKnobs {
@@ -343,7 +345,7 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
         for budget in budgets {
             for decode in [false, true] {
                 let label = format!("{mechanism} budget={budget} decode={decode}");
-                let (sum, stats, bursts, dstats, fstats) = run(EngineKnobs {
+                let (sum, stats, bursts, dstats, fstats, spin) = run(EngineKnobs {
                     burst_budget: Some(budget),
                     decode_cache: Some(decode),
                 });
@@ -367,6 +369,15 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
                     }
                     fused_loads_anywhere += fstats.loads;
                     fused_memo_hits_anywhere += fstats.memo_hits;
+                    if matches!(
+                        mechanism,
+                        BarrierMechanism::SwCentral | BarrierMechanism::SwTree
+                    ) {
+                        assert!(
+                            spin.credited_instructions > 0,
+                            "{label}: flag spins never credited — the spin pool is vacuous"
+                        );
+                    }
                 } else {
                     assert_eq!(
                         dstats,
@@ -377,6 +388,11 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
                         fstats,
                         Default::default(),
                         "{label}: fused-memory counters must stay silent"
+                    );
+                    assert_eq!(
+                        spin,
+                        Default::default(),
+                        "{label}: the reference interpreter never parks a spinner"
                     );
                 }
             }
@@ -396,7 +412,8 @@ fn engine_fast_paths_never_change_simulated_behaviour() {
 /// (16 clusters × 16 cores, tree-combining software barrier) must produce
 /// the identical `Measurement` — digest included — with the decode cache
 /// on and off, held non-vacuous through the same counters as the flat
-/// matrix.
+/// matrix (its hierarchical barrier's flag spins are credited with the
+/// decode cache on, never with it off).
 #[test]
 fn clustered_256_core_knob_matrix_is_digest_invariant() {
     let run = |decode: bool| {
@@ -408,19 +425,28 @@ fn clustered_256_core_knob_matrix_is_digest_invariant() {
             });
         let mut m = fig4_machine(&spec).expect("256-core clustered machine");
         let summary = m.run().expect("256-core clustered run");
-        (Measurement::new(&summary, &m.stats()), m.fused_stats())
+        (
+            Measurement::new(&summary, &m.stats()),
+            m.fused_stats(),
+            m.spin_stats(),
+        )
     };
-    let (reference, off) = run(false);
+    let (reference, off, off_spin) = run(false);
     assert_eq!(
         off,
         Default::default(),
         "decode off must retire nothing fused"
     );
-    let (on, fused) = run(true);
+    assert_eq!(off_spin, Default::default(), "decode off must never park");
+    let (on, fused, spin) = run(true);
     assert_eq!(on, reference, "256-core decode=true: Measurement diverged");
     assert!(
         fused.loads > 0,
         "256-core decode=true: no fused loads — vacuous"
+    );
+    assert!(
+        spin.credited_instructions > 0,
+        "256-core decode=true: sw-hier flag spins never credited — vacuous"
     );
 }
 

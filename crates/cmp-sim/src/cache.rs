@@ -20,6 +20,12 @@ pub enum LineState {
     Modified,
 }
 
+/// Fold the word `v` into an FNV-style hash.
+pub(crate) fn fnv_mix(hash: &mut u64, v: u64) {
+    *hash = (*hash ^ v).wrapping_mul(0x0100_0000_01b3);
+    *hash ^= *hash >> 29;
+}
+
 /// Sentinel for an unoccupied way. Real line addresses are line-aligned and
 /// far below `u64::MAX`, so the sentinel can never match a lookup.
 const EMPTY_LINE: u64 = u64::MAX;
@@ -182,6 +188,58 @@ impl Cache {
         self.tick += 1;
         self.slots[slot as usize].lru = self.tick;
         self.stats.hits += 1;
+    }
+
+    /// Credit `n` hits on the resident line at `slot`, as `n` consecutive
+    /// [`touch`](Cache::touch)es would: the spin pool's bulk replay of a
+    /// parked core's loads, applied when the core wakes.
+    pub(crate) fn credit_hits(&mut self, slot: u32, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.tick += n;
+        self.slots[slot as usize].lru = self.tick;
+        self.stats.hits += n;
+    }
+
+    /// Credit `n` lookup hits alternating between two resident slots and
+    /// ending on `last`, as `n` consecutive lookups would (a spin loop
+    /// whose two instructions sit on two I-cache lines).
+    pub(crate) fn credit_alternating(&mut self, last: u32, other: u32, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.tick += n;
+        self.slots[last as usize].lru = self.tick;
+        if n >= 2 {
+            self.slots[other as usize].lru = self.tick - 1;
+        }
+        self.stats.hits += n;
+    }
+
+    /// Arena index of `line` if resident, without disturbing LRU or stats.
+    pub(crate) fn probe_slot(&self, line: u64) -> Option<u32> {
+        let range = self.set_range(line);
+        let start = range.start;
+        self.slots[range]
+            .iter()
+            .position(|w| w.line == line)
+            .map(|i| (start + i) as u32)
+    }
+
+    /// Fold every occupied way's position, tag, state and LRU tick, and
+    /// the cache's tick counter, into a hash (the machine's test-only
+    /// state fingerprint).
+    pub(crate) fn fingerprint(&self, hash: &mut u64) {
+        fnv_mix(hash, self.tick);
+        for (i, w) in self.slots.iter().enumerate() {
+            if w.line != EMPTY_LINE {
+                fnv_mix(hash, i as u64);
+                fnv_mix(hash, w.line);
+                fnv_mix(hash, matches!(w.state, LineState::Modified) as u64);
+                fnv_mix(hash, w.lru);
+            }
+        }
     }
 
     /// Check for presence without disturbing LRU or counting stats.
@@ -369,6 +427,32 @@ mod tests {
         c.insert(ln(3), LineState::Shared); // set 1
         assert_eq!(c.resident(), 4);
         assert_eq!(c.stats().evictions, 0);
+    }
+
+    #[test]
+    fn credited_hits_match_repeated_touches() {
+        let (mut a, mut b) = (tiny(), tiny());
+        for c in [&mut a, &mut b] {
+            c.insert(ln(0), LineState::Shared);
+            c.insert(ln(2), LineState::Shared);
+            c.insert(ln(1), LineState::Shared);
+        }
+        let (s0, s2) = (a.probe_slot(ln(0)).unwrap(), a.probe_slot(ln(2)).unwrap());
+        for i in 0..7 {
+            a.touch(
+                if i % 2 == 0 { s2 } else { s0 },
+                if i % 2 == 0 { ln(2) } else { ln(0) },
+            );
+        }
+        a.touch(s2, ln(2));
+        a.touch(s2, ln(2));
+        b.credit_alternating(s2, s0, 7);
+        b.credit_hits(s2, 2);
+        let (mut ha, mut hb) = (0, 0);
+        a.fingerprint(&mut ha);
+        b.fingerprint(&mut hb);
+        assert_eq!(ha, hb);
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

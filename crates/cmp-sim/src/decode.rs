@@ -74,6 +74,17 @@ pub(crate) enum MemClass {
     },
     /// `Fst`.
     FStore { fs: FReg, base: Reg, off: i32 },
+    /// A `bne`/`beq` whose target is the `ld` just before it: the
+    /// two-instruction flag spin every software barrier emits. The fields
+    /// are the load's operands; the branch itself stays in the op's
+    /// `instr`. A taken spin branch may park its core in the spin pool
+    /// (machine.rs); otherwise it retires like any branch.
+    SpinBranch {
+        rd: Reg,
+        base: Reg,
+        off: i32,
+        width: MemWidth,
+    },
 }
 
 impl MemClass {
@@ -117,6 +128,34 @@ impl MemClass {
             Instr::Fst(fs, base, off) => match narrow(off) {
                 Some(off) => MemClass::FStore { fs, base, off },
                 None => MemClass::Other,
+            },
+            _ => MemClass::Other,
+        }
+    }
+
+    /// Classify the instruction at `pc`, recognising spin branches (see
+    /// [`MemClass::SpinBranch`]). The load must not overwrite its own base
+    /// register, so every iteration reads the same address.
+    fn at(pc: u64, instr: &Instr, program: &Program) -> MemClass {
+        let target = match *instr {
+            Instr::Bne(_, _, t) | Instr::Beq(_, _, t) => t.0,
+            _ => return MemClass::of(instr),
+        };
+        if target.wrapping_add(INSTR_BYTES) != pc {
+            return MemClass::Other;
+        }
+        match program.fetch(target).map(|i| MemClass::of(&i)) {
+            Some(MemClass::Load {
+                rd,
+                base,
+                off,
+                width,
+                link: false,
+            }) if rd != base => MemClass::SpinBranch {
+                rd,
+                base,
+                off,
+                width,
             },
             _ => MemClass::Other,
         }
@@ -237,7 +276,7 @@ impl DecodeCache {
         program: &Program,
         costs: &ScaledCosts,
     ) -> Option<(u32, u32)> {
-        if program.code_digest() != self.built_digest || self.ops.len() >= ARENA_CAP {
+        if self.flush_pending(program) {
             self.flush(program);
         }
         if pc < CODE_BASE || !(pc - CODE_BASE).is_multiple_of(INSTR_BYTES) {
@@ -257,7 +296,7 @@ impl DecodeCache {
             self.ops.push(DecodedOp {
                 instr,
                 units: u32::try_from(units).expect("issue cost fits u32"),
-                mem: MemClass::of(&instr),
+                mem: MemClass::at(p, &instr, program),
             });
             let next = p + INSTR_BYTES;
             // Stop after block enders, at line boundaries (a block never
@@ -275,6 +314,29 @@ impl DecodeCache {
         self.blocks[idx] = (start, end);
         self.stats.builds += 1;
         Some((start, end))
+    }
+
+    /// The arena run of the already-decoded block starting at `pc`, if the
+    /// next [`block_at`](DecodeCache::block_at) for `pc` would be a hit:
+    /// no flush pending and the block in the table.
+    pub fn peek(&self, pc: u64, program: &Program) -> Option<(u32, u32)> {
+        if self.flush_pending(program) || pc < CODE_BASE {
+            return None;
+        }
+        let slot = *self.blocks.get(((pc - CODE_BASE) / INSTR_BYTES) as usize)?;
+        (slot != EMPTY).then_some(slot)
+    }
+
+    /// Whether the next [`block_at`](DecodeCache::block_at) flushes the
+    /// whole cache.
+    pub fn flush_pending(&self, program: &Program) -> bool {
+        program.code_digest() != self.built_digest || self.ops.len() >= ARENA_CAP
+    }
+
+    /// Count `n` block-table hits served without a lookup (the spin
+    /// pool's credit for a parked core's block entries).
+    pub fn credit_hits(&mut self, n: u64) {
+        self.stats.hits += n;
     }
 
     /// Drop every block starting on `line` (a line-aligned byte address).

@@ -54,6 +54,17 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
+    /// Every unfinished core that can still run spins on a flag nothing
+    /// will ever write, and no cycle limit bounds the run: polling would
+    /// never return. Only the decoded executor detects this (its spin pool
+    /// holds every live spinner with no event pending); the reference
+    /// interpreter spins until [`SimConfig::cycle_limit`](crate::SimConfig).
+    Livelock {
+        /// Cycle of the last event before only spinning remained.
+        cycle: u64,
+        /// The spinning cores.
+        spinners: Vec<usize>,
+    },
     /// An L2 bank hook (barrier filter) detected a protocol violation —
     /// the architectural exception of §3.3.4.
     Hook {
@@ -147,6 +158,10 @@ impl fmt::Display for SimError {
             SimError::CycleLimitExceeded { limit } => {
                 write!(f, "simulation exceeded the cycle limit of {limit}")
             }
+            SimError::Livelock { cycle, spinners } => write!(
+                f,
+                "livelock at cycle {cycle}: cores {spinners:?} spin on flags no event can change"
+            ),
             SimError::Hook {
                 cycle,
                 line,

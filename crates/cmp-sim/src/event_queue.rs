@@ -26,6 +26,16 @@
 //!   events of exactly one cycle and append order within it is `seq` order;
 //! * overflow events migrate via a binary insertion on `seq`, preserving
 //!   the total order even though they arrive "late".
+//!
+//! ## Re-inserted events ([`CalendarQueue::insert_after`])
+//!
+//! The spin pool (machine.rs) takes a spinning core's ready event off the
+//! queue and later puts it back at the position polling would have given
+//! it: after every event pushed up to some counter value `seq`, before the
+//! next push. Entries are therefore ordered by a key `seq << 1 | late`,
+//! where `late` marks a re-inserted event; re-inserted events with equal
+//! keys keep their insertion order (FIFO in a bucket, a tie counter in the
+//! overflow heap).
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -40,17 +50,19 @@ const WINDOW: u64 = 512;
 const WORDS: usize = (WINDOW as usize) / 64;
 
 /// A far-future event parked in the overflow heap, ordered by
-/// `(cycle, seq)` — the same total order the ring drains in.
+/// `(cycle, key)` — the same total order the ring drains in — with `tie`
+/// keeping re-inserted events of equal key in insertion order.
 #[derive(Debug, PartialEq, Eq)]
 struct Far<T: Eq> {
     cycle: u64,
-    seq: u64,
+    key: u64,
+    tie: u64,
     item: T,
 }
 
 impl<T: Eq> Ord for Far<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.cycle, self.seq).cmp(&(other.cycle, other.seq))
+        (self.cycle, self.key, self.tie).cmp(&(other.cycle, other.key, other.tie))
     }
 }
 
@@ -64,8 +76,8 @@ impl<T: Eq> PartialOrd for Far<T> {
 #[derive(Debug)]
 pub(crate) struct CalendarQueue<T: Eq> {
     /// `WINDOW` per-cycle buckets; bucket `cycle % WINDOW` holds the events
-    /// of one in-window cycle, sorted by (and in practice appended in)
-    /// `seq` order. Deques, because the engine drains each bucket from the
+    /// of one in-window cycle as `(key, item)`, sorted by (and in practice
+    /// appended in) key order (see the module docs for the key). Deques, because the engine drains each bucket from the
     /// front one event at a time (`Vec::remove(0)` would shift the tail on
     /// every pop).
     buckets: Vec<VecDeque<(u64, T)>>,
@@ -82,6 +94,11 @@ pub(crate) struct CalendarQueue<T: Eq> {
     overflow_min: u64,
     /// Last assigned sequence number (0 = none yet).
     seq: u64,
+    /// Overflow insertion counter (the `Far::tie` source).
+    far_ties: u64,
+    /// Sequence number of the event [`pop_at`](CalendarQueue::pop_at)
+    /// returned last.
+    popped_seq: u64,
     len: usize,
     /// Memoized [`next_cycle`](CalendarQueue::next_cycle) result (`None` =
     /// not computed). The engine peeks then pops every event; caching the
@@ -99,6 +116,8 @@ impl<T: Eq> CalendarQueue<T> {
             overflow: BinaryHeap::new(),
             overflow_min: u64::MAX,
             seq: 0,
+            far_ties: 0,
+            popped_seq: 0,
             len: 0,
             next_memo: Cell::new(None),
         }
@@ -117,21 +136,80 @@ impl<T: Eq> CalendarQueue<T> {
             self.base
         );
         self.seq += 1;
-        let seq = self.seq;
+        let key = self.seq << 1;
         if cycle - self.base < WINDOW {
             let b = (cycle % WINDOW) as usize;
-            self.buckets[b].push_back((seq, item));
+            self.buckets[b].push_back((key, item));
             self.occupied[b / 64] |= 1 << (b % 64);
+            self.len += 1;
+            self.lower_memo(cycle);
         } else {
-            self.overflow.push(Reverse(Far { cycle, seq, item }));
-            self.overflow_min = self.overflow_min.min(cycle);
+            self.push_far(cycle, key, item);
         }
+    }
+
+    /// Re-insert `item` at `cycle` in the position of an event pushed
+    /// while the sequence counter read `seq`: after every event pushed up
+    /// to that point, before every later push. Among earlier
+    /// re-insertions with the same `seq` it goes last, or ahead of the
+    /// first for which `ahead_of` holds (only consulted in the ring). The
+    /// counter does not move.
+    pub fn insert_after(&mut self, cycle: u64, seq: u64, item: T, ahead_of: impl Fn(&T) -> bool) {
+        assert!(
+            cycle >= self.base,
+            "event re-inserted at cycle {cycle} behind the queue cursor {}",
+            self.base
+        );
+        let key = seq << 1 | 1;
+        if cycle - self.base < WINDOW {
+            let b = (cycle % WINDOW) as usize;
+            let bucket = &mut self.buckets[b];
+            let (lo, hi) = (
+                bucket.partition_point(|&(k, _)| k < key),
+                bucket.partition_point(|&(k, _)| k <= key),
+            );
+            let pos = (lo..hi).find(|&i| ahead_of(&bucket[i].1)).unwrap_or(hi);
+            bucket.insert(pos, (key, item));
+            self.occupied[b / 64] |= 1 << (b % 64);
+            self.len += 1;
+            self.lower_memo(cycle);
+        } else {
+            self.push_far(cycle, key, item);
+        }
+    }
+
+    fn push_far(&mut self, cycle: u64, key: u64, item: T) {
+        self.far_ties += 1;
+        self.overflow.push(Reverse(Far {
+            cycle,
+            key,
+            tie: self.far_ties,
+            item,
+        }));
+        self.overflow_min = self.overflow_min.min(cycle);
         self.len += 1;
+        self.lower_memo(cycle);
+    }
+
+    /// A new event at `cycle` can only lower the memoized minimum.
+    #[inline]
+    fn lower_memo(&self, cycle: u64) {
         if let Some(memo) = self.next_memo.get() {
             if cycle < memo {
                 self.next_memo.set(Some(cycle));
             }
         }
+    }
+
+    /// The sequence counter: the number of events pushed so far.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The sequence number the last [`pop_at`](CalendarQueue::pop_at)
+    /// event was pushed (or re-inserted) at.
+    pub fn popped_seq(&self) -> u64 {
+        self.popped_seq
     }
 
     /// True iff every pending event lies strictly after `cycle` (vacuously
@@ -180,7 +258,10 @@ impl<T: Eq> CalendarQueue<T> {
         }
         let b = (cycle % WINDOW) as usize;
         let bucket = &mut self.buckets[b];
-        let item = bucket.pop_front().map(|(_, item)| item);
+        let item = bucket.pop_front().map(|(key, item)| {
+            self.popped_seq = key >> 1;
+            item
+        });
         if bucket.is_empty() {
             self.occupied[b / 64] &= !(1 << (b % 64));
             self.next_memo.set(None);
@@ -250,8 +331,10 @@ impl<T: Eq> CalendarQueue<T> {
     }
 
     /// Move every overflow event that now fits the window into the ring,
-    /// inserting by `seq` so late arrivals interleave correctly with the
-    /// bucket's existing (seq-ordered) contents.
+    /// inserting by key so late arrivals interleave correctly with the
+    /// bucket's existing (key-ordered) contents. A migrating pushed event
+    /// has a unique key; a migrating re-inserted one goes after bucket
+    /// entries of equal key, which were re-inserted later than it was.
     fn migrate_overflow(&mut self) {
         while let Some(Reverse(head)) = self.overflow.peek() {
             if head.cycle - self.base >= WINDOW {
@@ -262,8 +345,8 @@ impl<T: Eq> CalendarQueue<T> {
             };
             let b = (f.cycle % WINDOW) as usize;
             let bucket = &mut self.buckets[b];
-            let pos = bucket.partition_point(|&(s, _)| s < f.seq);
-            bucket.insert(pos, (f.seq, f.item));
+            let pos = bucket.partition_point(|&(k, _)| k <= f.key);
+            bucket.insert(pos, (f.key, f.item));
             self.occupied[b / 64] |= 1 << (b % 64);
         }
         self.overflow_min = self.overflow.peek().map_or(u64::MAX, |Reverse(f)| f.cycle);
@@ -340,6 +423,43 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn reinserted_events_sit_between_pushes() {
+        let mut q = CalendarQueue::new();
+        q.push(7, "a"); // seq 1
+        q.push(7, "b"); // seq 2
+        q.push(7, "c"); // seq 3
+        q.insert_after(7, 2, "after-b", |_| false);
+        q.insert_after(7, 2, "after-b-too", |_| false);
+        q.insert_after(7, 2, "ahead", |x| *x == "after-b-too");
+        q.insert_after(7, 0, "first", |_| false);
+        q.push(7, "d");
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, x)| x)).collect();
+        assert_eq!(
+            drained,
+            [
+                "first",
+                "a",
+                "b",
+                "after-b",
+                "ahead",
+                "after-b-too",
+                "c",
+                "d"
+            ]
+        );
+        // Far re-insertions keep their order through the overflow heap.
+        q.insert_after(WINDOW * 3, 5, "x", |_| false);
+        q.insert_after(WINDOW * 3, 5, "y", |_| false);
+        q.push(WINDOW * 3, "z");
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, x)| x)).collect();
+        assert_eq!(
+            drained,
+            ["z", "x", "y"],
+            "x and y follow push 5, which is z"
+        );
     }
 
     #[test]

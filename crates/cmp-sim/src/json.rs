@@ -365,14 +365,14 @@ mod tests {
     #[test]
     fn parses_the_repo_report_shapes() {
         let j = Json::parse(
-            r#"{ "schema": "fastbar-throughput/v5", "jobs": 2,
+            r#"{ "schema": "fastbar-throughput/v6", "jobs": 2,
                  "samples": [ {"workload": "w1", "stats_digest": "0x0546812ccc90cd5e",
                                "wall": 0.5, "ok": true, "note": null}, ] }"#,
         )
         .expect("parses");
         assert_eq!(
             j.get("schema").and_then(Json::as_str),
-            Some("fastbar-throughput/v5")
+            Some("fastbar-throughput/v6")
         );
         assert_eq!(j.get("jobs").and_then(Json::as_u64), Some(2));
         let s = &j.get("samples").expect("samples").items()[0];

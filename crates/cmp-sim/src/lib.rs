@@ -73,6 +73,7 @@ pub mod json;
 mod layout;
 mod machine;
 mod mem;
+mod spin;
 mod stats;
 mod trace;
 
@@ -95,6 +96,7 @@ pub use json::{fnv64, parse_u64_flex, Json, JsonError};
 pub use layout::{AddressSpace, LayoutError, BARRIER_BASE, BARRIER_END, DATA_BASE};
 pub use machine::{Machine, RunState};
 pub use mem::Memory;
+pub use spin::SpinStats;
 pub use stats::{MachineStats, Measurement, RunSummary};
 pub use trace::{
     json_escape, ChromeTraceSink, EpisodeStats, MetricsSink, NullSink, RingSink, TraceConfig,

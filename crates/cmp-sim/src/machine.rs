@@ -29,7 +29,7 @@
 use sim_isa::{line_of, FReg, Instr, MemWidth, Program, Reg};
 
 use crate::bus::{Interconnect, Resource};
-use crate::cache::{Cache, LineState};
+use crate::cache::{fnv_mix, Cache, LineState};
 use crate::coherence::{Directory, ReadOutcome};
 use crate::core::{Continuation, Core, Waiting};
 use crate::decode::{DecodeCache, DecodeCacheStats, FusedMemStats, MemClass};
@@ -41,6 +41,7 @@ use crate::hook::{
 };
 use crate::hwnet::{DedicatedNetwork, HwBarResult};
 use crate::mem::Memory;
+use crate::spin::{Bound, Phase, SpinPool, SpinStats, SpinTiming, Spinner};
 use crate::stats::{MachineStats, RunSummary};
 use crate::trace::{EpisodeTracker, TraceEvent, TraceMetrics, TraceSink};
 use crate::SimConfig;
@@ -329,6 +330,10 @@ pub struct Machine {
     /// the stale-fetch window is deterministic and identical with the
     /// decode cache on or off.
     pending_patches: Vec<(u64, Instr)>,
+    /// Cores parked at a spin branch, off the event queue (see
+    /// [`crate::spin`]). Only the decoded executor parks cores, and the
+    /// pool is empty whenever [`run_until`](Machine::run_until) returns.
+    spin: SpinPool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -338,6 +343,7 @@ impl std::fmt::Debug for Machine {
             .field("cores", &self.cores.len())
             .field("pending_events", &self.events.len())
             .field("parked_fills", &self.parked.len())
+            .field("spinners", &self.spin.len())
             .field("clusters", &self.config.topology.clusters)
             .finish_non_exhaustive()
     }
@@ -362,7 +368,10 @@ impl Machine {
             ways: config.l2.ways,
             latency: config.l2.latency,
         };
+        let scaled = ScaledCosts::new(&config);
+        let taken = config.timing.branch + config.timing.branch_taken_penalty;
         let mut m = Machine {
+            spin: SpinPool::new(n, SpinTiming::new(taken, scaled.load)),
             l1d: (0..n).map(|_| Cache::new(config.l1d)).collect(),
             l1i: (0..n).map(|_| Cache::new(config.l1i)).collect(),
             l2: (0..banks).map(|_| Cache::new(per_bank)).collect(),
@@ -383,7 +392,7 @@ impl Machine {
             sink,
             trace_on,
             tracker: EpisodeTracker::new(banks),
-            scaled: ScaledCosts::new(&config),
+            scaled,
             live_cores: cores.iter().filter(|c| !c.halted).count(),
             burst_core: usize::MAX,
             burst_ready: None,
@@ -439,9 +448,42 @@ impl Machine {
     ///
     /// Same as [`run`](Machine::run).
     pub fn run_until(&mut self, pause_at: u64) -> Result<RunState, SimError> {
+        let result = self.run_loop(pause_at);
+        if !self.spin.is_empty() {
+            // An error mid-event: credit what polling ran before the
+            // failing event, so the machine is inspectable as it stands.
+            self.spin.sync();
+            self.spin_release_all();
+        }
+        result
+    }
+
+    fn run_loop(&mut self, pause_at: u64) -> Result<RunState, SimError> {
         loop {
             if self.live_cores == 0 {
                 return Ok(RunState::Finished(self.summary()));
+            }
+            if !self.spin.is_empty() {
+                // Parked spinners keep running up to the pause point or the
+                // cycle limit, whichever gates first. When no queued event
+                // comes before that gate, only their virtual events do:
+                // credit them up to it and put the spinners back on the
+                // queue, where the gates below see them as polling would.
+                let gate = pause_at.min(self.config.cycle_limit.saturating_add(1));
+                if self.events.next_cycle().is_none_or(|head| head >= gate) {
+                    if gate == u64::MAX {
+                        self.spin.replay(Bound::LogEnd);
+                        let spinners = self.spin.cores();
+                        self.spin_release_all();
+                        return Err(SimError::Livelock {
+                            cycle: self.now,
+                            spinners,
+                        });
+                    }
+                    self.spin.replay(Bound::Cycle(gate));
+                    self.spin_release_all();
+                    continue;
+                }
             }
             let Some(head_cycle) = self.events.next_cycle() else {
                 // With no events pending, a machine is quiescent — not
@@ -494,25 +536,48 @@ impl Machine {
             // them.
             self.now = self.now.max(head_cycle);
             while let Some(ev) = self.events.pop_at(head_cycle) {
-                match ev {
-                    Ev::CoreReady(c) if self.events.all_later_than(self.now) => {
-                        self.core_ready_burst(c as usize, pause_at)?;
+                if !self.spin.is_empty() {
+                    self.dispatch_logged(head_cycle, ev)?;
+                } else {
+                    match ev {
+                        Ev::CoreReady(c) if self.events.all_later_than(self.now) => {
+                            self.core_ready_burst(c as usize, pause_at)?;
+                        }
+                        // With another event pending at `now`, the burst
+                        // gate would fail after one step no matter what
+                        // the step does (its deferred ready lies at
+                        // `>= now`), so skip the defer/flush frame:
+                        // `finish` is every deferring path's last event
+                        // push, so pushing the `CoreReady` there directly
+                        // assigns the identical `seq` the flush would have.
+                        Ev::CoreReady(c) => self.step_once(c as usize)?,
+                        ev => self.dispatch(ev)?,
                     }
-                    // With another event pending at `now`, the burst gate
-                    // would fail after one step no matter what the step
-                    // does (its deferred ready lies at `>= now`), so skip
-                    // the defer/flush frame: `finish` is every deferring
-                    // path's last event push, so pushing the `CoreReady`
-                    // there directly assigns the identical `seq` the
-                    // flush would have.
-                    Ev::CoreReady(c) => self.step_once(c as usize)?,
-                    ev => self.dispatch(ev)?,
                 }
                 if self.live_cores == 0 {
                     return Ok(RunState::Finished(self.summary()));
                 }
             }
         }
+    }
+
+    /// Dispatch a popped event while cores are parked in the spin pool,
+    /// logging it for the pool's replay. No bursts: a spinner's virtual
+    /// events may interleave with the core's. Kept out of line so the
+    /// run loop's common path stays as small as it was without the pool.
+    #[inline(never)]
+    fn dispatch_logged(&mut self, cycle: u64, ev: Ev) -> Result<(), SimError> {
+        let core = match ev {
+            Ev::CoreReady(c) => Some(c),
+            _ => None,
+        };
+        self.spin.begin(cycle, self.events.popped_seq(), core);
+        match ev {
+            Ev::CoreReady(c) => self.step_once(c as usize)?,
+            ev => self.dispatch(ev)?,
+        }
+        self.spin.end(self.events.seq());
+        Ok(())
     }
 
     /// Dispatch a popped `CoreReady` with the core-step burst fast path.
@@ -636,6 +701,39 @@ impl Machine {
     /// digest.
     pub fn fused_stats(&self) -> FusedMemStats {
         self.fused
+    }
+
+    /// Spin-pool counters so far: parks, wakes and instructions credited
+    /// instead of interpreted. All zero while [`SimConfig::decode_cache`]
+    /// is off. Host-side engine metrics, not part of [`MachineStats`] or
+    /// its digest.
+    pub fn spin_stats(&self) -> SpinStats {
+        self.spin.stats()
+    }
+
+    /// A hash of the state the stats digest does not cover: every core's
+    /// registers, pc and issue accumulator, and every cache's tags, states
+    /// and LRU ticks. Differential tests compare it across engine paths,
+    /// so that a wrong LRU credit shows before a later eviction would.
+    #[doc(hidden)]
+    pub fn state_fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for core in &self.cores {
+            fnv_mix(&mut h, core.pc);
+            fnv_mix(&mut h, core.issue_frac);
+            fnv_mix(&mut h, u64::from(core.halted));
+            for &r in &core.regs {
+                fnv_mix(&mut h, r);
+            }
+            for &f in &core.fregs {
+                fnv_mix(&mut h, f.to_bits());
+            }
+        }
+        for cache in self.l1d.iter().chain(&self.l1i).chain(&self.l2) {
+            cache.fingerprint(&mut h);
+        }
+        self.l3.fingerprint(&mut h);
+        h
     }
 
     /// Stage a self-modifying-code patch: replace the instruction at `pc`
@@ -1033,6 +1131,7 @@ impl Machine {
                 let ok = self.cores[c].link == Some(line) && !error;
                 if ok {
                     self.fill_l1(c, line, AccessKind::DWrite, at);
+                    self.wake_watchers(addr, 8);
                     self.mem.write_u64(addr, src);
                     self.clear_links(line);
                     self.cores[c].stats.stores += 1;
@@ -1276,7 +1375,7 @@ impl Machine {
                 let w = self.dir.write(c as u16, line);
                 if !w.invalidate.is_empty() {
                     for &s in &w.invalidate {
-                        self.l1d[s as usize].invalidate(line);
+                        self.invalidate_l1d(s as usize, line);
                     }
                     self.trace(TraceEvent::Upgrade {
                         core: c,
@@ -1288,7 +1387,7 @@ impl Machine {
                     t = self.net.broadcast_cmd(cc, t) + 1;
                 }
                 if let Some(owner) = w.dirty_owner {
-                    self.l1d[owner as usize].invalidate(line);
+                    self.invalidate_l1d(owner as usize, line);
                     let from = self.config.cluster_of_core(c);
                     let to = self.config.cluster_of_core(owner as usize);
                     let arrive = self.net.cmd(from, to, t);
@@ -1424,12 +1523,12 @@ impl Machine {
                 // Upgrade: invalidate remote sharers via one bus command.
                 let w = self.dir.write(c as u16, line);
                 for &s in &w.invalidate {
-                    self.l1d[s as usize].invalidate(line);
+                    self.invalidate_l1d(s as usize, line);
                 }
                 if let Some(owner) = w.dirty_owner {
                     // Our Shared tag was stale (an in-flight-fill race):
                     // displace the true owner as well.
-                    self.l1d[owner as usize].invalidate(line);
+                    self.invalidate_l1d(owner as usize, line);
                 }
                 if !w.invalidate.is_empty() {
                     self.trace(TraceEvent::Upgrade {
@@ -1614,6 +1713,12 @@ impl Machine {
         if !self.ifetch_window(c, pc)? {
             return Ok(());
         }
+        if !self.spin.is_empty() && self.decode.flush_pending(&self.program) {
+            // A flush resets every decoded-block cursor, which the parked
+            // cores' credited block entries assume intact.
+            self.spin.sync();
+            self.spin_release_all();
+        }
         let Some((start, end)) = self.decode.block_at(pc, &self.program, &self.scaled) else {
             return Err(SimError::IllegalPc { core: c, pc });
         };
@@ -1646,6 +1751,12 @@ impl Machine {
         let units = u64::from(op.units);
         match op.mem {
             MemClass::Other => self.exec_instr(c, pc, op.instr, units),
+            MemClass::SpinBranch {
+                rd,
+                base,
+                off,
+                width,
+            } => self.exec_spin_branch(c, pc, op.instr, rd, base, i64::from(off), width),
             MemClass::Load {
                 rd,
                 base,
@@ -1844,10 +1955,10 @@ impl Machine {
                         Some(LineState::Shared) => {
                             let w = self.dir.write(c as u16, line);
                             for &sh in &w.invalidate {
-                                self.l1d[sh as usize].invalidate(line);
+                                self.invalidate_l1d(sh as usize, line);
                             }
                             if let Some(owner) = w.dirty_owner {
-                                self.l1d[owner as usize].invalidate(line);
+                                self.invalidate_l1d(owner as usize, line);
                             }
                             if !w.invalidate.is_empty() {
                                 self.trace(TraceEvent::Upgrade {
@@ -1981,6 +2092,227 @@ impl Machine {
         } else {
             self.finish(c, t.branch, next);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Spin pool (see `crate::spin`)
+    // ------------------------------------------------------------------
+
+    /// A recognised spin branch (`MemClass::SpinBranch`) at `pc`: park the
+    /// core if the branch is taken and the loop's next iteration provably
+    /// repeats this one, else retire it like any branch.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn exec_spin_branch(
+        &mut self,
+        c: usize,
+        pc: u64,
+        instr: Instr,
+        rd: Reg,
+        base: Reg,
+        off: i64,
+        width: MemWidth,
+    ) -> Result<(), SimError> {
+        let core = &self.cores[c];
+        let taken = match instr {
+            Instr::Bne(a, b, _) => core.reg(a) != core.reg(b),
+            Instr::Beq(a, b, _) => core.reg(a) == core.reg(b),
+            _ => unreachable!("spin branches are bne/beq"),
+        };
+        let load_pc = pc - sim_isa::INSTR_BYTES;
+        let parked = if taken {
+            self.spin_candidate(c, pc, rd, base, off, width)
+        } else {
+            None
+        };
+        match parked {
+            Some(sp) => {
+                // Retire the branch; its successor, the load, becomes the
+                // spinner's first virtual event instead of a queue push.
+                let core = &mut self.cores[c];
+                core.pc = load_pc;
+                core.stats.instructions += 1;
+                self.spin.sync();
+                self.spin.park(sp, self.events.seq());
+                Ok(())
+            }
+            None => {
+                let target = match instr {
+                    Instr::Bne(_, _, t) | Instr::Beq(_, _, t) => t.0,
+                    _ => unreachable!("spin branches are bne/beq"),
+                };
+                self.branch(c, taken, target, pc + sim_isa::INSTR_BYTES);
+                Ok(())
+            }
+        }
+    }
+
+    /// The spinner core `c` becomes if it parks at its spin branch at
+    /// `pc` now, or `None` when an iteration would not simply repeat: the
+    /// flag changed since the load read it, the store buffer still drains
+    /// into the L1D, the flag line's memo is stale, a code line left the
+    /// L1I, a block entry would miss or flush the decode cache, or a sink
+    /// observes every load.
+    fn spin_candidate(
+        &self,
+        c: usize,
+        pc: u64,
+        rd: Reg,
+        base: Reg,
+        off: i64,
+        width: MemWidth,
+    ) -> Option<Spinner> {
+        let core = &self.cores[c];
+        if self.trace_on || self.spin.timing().is_none() || !core.store_buffer.is_empty() {
+            return None;
+        }
+        let addr = core.reg(base).wrapping_add(off as u64);
+        if !rd.is_zero() && self.mem.read_le(addr, width.bytes() as usize) != core.reg(rd) {
+            return None;
+        }
+        if core.mem_line != line_of(addr) || core.mem_gen != self.l1d[c].generation() {
+            return None;
+        }
+        let load_pc = pc - sim_isa::INSTR_BYTES;
+        let block = self.decode.peek(load_pc, &self.program)?;
+        let straddle = if line_of(load_pc) == line_of(pc) {
+            None
+        } else {
+            self.decode.peek(pc, &self.program)?;
+            let l1i = &self.l1i[c];
+            Some((
+                l1i.probe_slot(line_of(load_pc))?,
+                l1i.probe_slot(line_of(pc))?,
+            ))
+        };
+        let t = &self.config.timing;
+        Some(Spinner::new(
+            c,
+            load_pc,
+            addr,
+            width.bytes(),
+            core.mem_slot,
+            straddle,
+            block,
+            self.now + t.branch + t.branch_taken_penalty,
+            self.events.seq(),
+            core.issue_frac,
+        ))
+    }
+
+    /// A store of `width` bytes to `addr` is about to change memory: wake
+    /// the spinners whose flag word it touches. (A write elsewhere on a
+    /// flag line changes nothing a spinner reads; the line's coherence
+    /// invalidation, when the store drains, wakes it.)
+    #[inline]
+    fn wake_watchers(&mut self, addr: u64, width: u64) {
+        if self.spin.watches(line_of(addr)) {
+            let cores = self.spin.watchers(addr, width);
+            if !cores.is_empty() {
+                self.spin_wake(&cores);
+            }
+        }
+    }
+
+    /// Invalidate `line` in core `core`'s L1D. A parked core wakes first
+    /// if `line` is its flag line (its credited hits precede the
+    /// invalidation); any other line only costs its line memo, which the
+    /// pool accounts for without waking it.
+    fn invalidate_l1d(&mut self, core: usize, line: u64) {
+        if let Some(sp) = self.spin.get(core) {
+            if sp.line == line {
+                self.spin_wake(&[core]);
+            } else {
+                self.spin.note_generation(core);
+            }
+        }
+        self.l1d[core].invalidate(line);
+    }
+
+    /// Put `cores` back on the queue.
+    #[cold]
+    fn spin_wake(&mut self, cores: &[usize]) {
+        self.spin.sync();
+        for sp in self.spin.take(cores) {
+            self.spin_restore(&sp);
+        }
+        self.spin.settle();
+    }
+
+    /// Put every spinner back on the queue. The pool must be replayed to
+    /// the current point first.
+    fn spin_release_all(&mut self) {
+        for sp in self.spin.take_all() {
+            self.spin_restore(&sp);
+        }
+        self.spin.settle();
+    }
+
+    /// Materialise everything polling would have done for `sp`'s credited
+    /// iterations, then queue its next event at its exact position.
+    fn spin_restore(&mut self, sp: &Spinner) {
+        let c = sp.core as usize;
+        let branch_pc = sp.load_pc + sim_isa::INSTR_BYTES;
+        let (n, loads) = (sp.credited(), sp.loads());
+        if n > 0 {
+            let t = self
+                .spin
+                .timing()
+                .expect("a parked core implies loop timing");
+            self.now = self.now.max(sp.last_run(t));
+        }
+        let gen = self.decode.gen;
+        let core = &mut self.cores[c];
+        core.stats.instructions += n;
+        core.stats.loads += loads;
+        core.issue_frac = sp.frac();
+        let window = match sp.phase() {
+            Phase::Load => {
+                // The last element was the branch: the cursor is spent.
+                core.pc = sp.load_pc;
+                core.dec_pos = core.dec_end;
+                core.dec_pc = branch_pc + sim_isa::INSTR_BYTES;
+                line_of(branch_pc)
+            }
+            Phase::Branch => {
+                core.pc = branch_pc;
+                core.dec_pc = branch_pc;
+                core.dec_gen = gen;
+                core.dec_end = sp.block.1;
+                core.dec_pos = if sp.straddle.is_some() {
+                    sp.block.1
+                } else {
+                    sp.block.0 + 1
+                };
+                line_of(sp.load_pc)
+            }
+        };
+        core.ifetch_lo = window;
+        core.ifetch_hi = window + sim_isa::LINE_BYTES;
+        self.l1d[c].credit_hits(sp.l1d_slot, loads);
+        match sp.straddle {
+            Some((load_slot, branch_slot)) => {
+                let (last, other) = match sp.phase() {
+                    Phase::Load => (branch_slot, load_slot),
+                    Phase::Branch => (load_slot, branch_slot),
+                };
+                self.l1i[c].credit_alternating(last, other, n);
+                self.decode.credit_hits(n);
+            }
+            None => self.decode.credit_hits(loads),
+        }
+        if sp.memo_retaken() {
+            self.cores[c].mem_gen = self.l1d[c].generation();
+        }
+        self.fused.loads += loads;
+        self.fused.memo_hits += sp.memo_hits();
+        let ahead = self.spin.noted_after(sp);
+        self.events.insert_after(
+            sp.cycle,
+            sp.epoch,
+            Ev::CoreReady(sp.core),
+            |ev| matches!(ev, Ev::CoreReady(x) if ahead.contains(x)),
+        );
     }
 
     fn check_aligned(&self, c: usize, pc: u64, addr: u64, width: u64) -> Result<(), SimError> {
@@ -2221,6 +2553,7 @@ impl Machine {
             return Ok(());
         }
         let line = line_of(addr);
+        self.wake_watchers(addr, width.bytes());
         self.mem.write_le(addr, width.bytes() as usize, value);
         self.clear_links(line);
         self.cores[c].stats.stores += 1;
@@ -2253,6 +2586,12 @@ impl Machine {
         });
         if icache {
             for i in 0..self.cores.len() {
+                if self.spin.get(i).is_some_and(|sp| {
+                    line == line_of(sp.load_pc)
+                        || line == line_of(sp.load_pc + sim_isa::INSTR_BYTES)
+                }) {
+                    self.spin_wake(&[i]);
+                }
                 self.l1i[i].invalidate(line);
                 if self.cores[i].ifetch_lo == line {
                     // Also resets the core's decoded-block cursor: a live
@@ -2274,7 +2613,7 @@ impl Machine {
         if !icache {
             let (holders, dirty) = self.dir.invalidate_all(line);
             for h in holders {
-                self.l1d[h as usize].invalidate(line);
+                self.invalidate_l1d(h as usize, line);
             }
             if dirty {
                 // Writeback of the dirty copy toward the home bank (bus

@@ -466,6 +466,62 @@ fn cycle_limit_guard_fires() {
     ));
 }
 
+/// Two threads wait on a flag nobody writes (the deserter case); a third
+/// runs a little and halts. Built with the decoded executor on or off.
+fn deserted_spin(decode: bool, limit: u64) -> cmp_sim::Machine {
+    let mut cfg = SimConfig::with_cores(3);
+    cfg.cycle_limit = limit;
+    cfg.decode_cache = decode;
+    let flag = cmp_sim::DATA_BASE;
+    let mut a = Asm::new();
+    a.label("entry").unwrap();
+    a.beq(Reg::TID, Reg::ZERO, "worker");
+    a.li(Reg::K0, flag as i64);
+    a.li(Reg::T8, 1);
+    a.label("spin").unwrap();
+    a.ldd(Reg::K1, Reg::K0, 0);
+    a.bne(Reg::K1, Reg::T8, "spin");
+    a.halt();
+    a.label("worker").unwrap();
+    a.li(Reg::T0, 50);
+    a.label("count").unwrap();
+    a.addi(Reg::T0, Reg::T0, -1);
+    a.bne(Reg::T0, Reg::ZERO, "count");
+    a.halt();
+    build(cfg, a.assemble().unwrap(), 3).0
+}
+
+#[test]
+fn spin_only_livelock_credits_up_to_the_cycle_limit() {
+    // With a finite limit, the parked spinners are credited exactly up to
+    // it: the same error, clock and stats as the polling interpreter.
+    let limit = 200_000;
+    let mut polled = deserted_spin(false, limit);
+    let mut parked = deserted_spin(true, limit);
+    let want = Err(SimError::CycleLimitExceeded { limit });
+    assert_eq!(polled.run(), want);
+    assert_eq!(parked.run(), want);
+    assert_eq!(parked.now(), polled.now());
+    assert_eq!(parked.stats(), polled.stats());
+    assert_eq!(parked.state_fingerprint(), polled.state_fingerprint());
+    assert!(parked.spin_stats().credited_instructions > 100_000);
+    assert_eq!(polled.spin_stats(), Default::default());
+}
+
+#[test]
+fn spin_only_livelock_without_a_limit_is_a_typed_error() {
+    let mut m = deserted_spin(true, u64::MAX);
+    match m.run() {
+        Err(SimError::Livelock { spinners, .. }) => assert_eq!(spinners, vec![1, 2]),
+        other => panic!("expected a livelock, got {other:?}"),
+    }
+    // The pool drained: the spinners are back on the queue, and pausing
+    // runs them like any core.
+    let now = m.now();
+    assert_eq!(m.run_until(now + 1_000), Ok(RunState::Paused));
+    assert_eq!(m.now(), now + 1_000);
+}
+
 #[test]
 fn determinism_same_machine_same_cycles() {
     let mk = || {

@@ -3,7 +3,7 @@
 use barrier_filter::BarrierSystem;
 use cmp_sim::{
     run_with_faults, AddressSpace, DecodeCacheStats, FaultPlan, FaultReport, FusedMemStats,
-    Machine, MachineBuilder, Measurement, SimConfig, TraceConfig, TraceSink,
+    Machine, MachineBuilder, Measurement, SimConfig, SpinStats, TraceConfig, TraceSink,
 };
 use sim_isa::{Asm, Reg};
 
@@ -32,6 +32,9 @@ pub struct KernelOutcome {
     /// Memory-op-fused executor counters (all zero when the decode cache
     /// is off). Host-side engine metrics, like `decode`.
     pub fused: FusedMemStats,
+    /// Spin-pool counters (all zero when the decode cache is off).
+    /// Host-side engine metrics, like `decode`.
+    pub spin: SpinStats,
     /// Mean wait on the more contended of the two shared buses
     /// (address/data), in cycles per access — the Figure 4 saturation
     /// signal, reported here so latency-style measurements can be read
@@ -152,6 +155,7 @@ pub(crate) fn run_reps_faulted(
             cycles_per_rep: summary.cycles as f64 / reps as f64,
             decode: machine.decode_stats(),
             fused: machine.fused_stats(),
+            spin: machine.spin_stats(),
             bus_mean_wait: stats.addr_bus.mean_wait().max(stats.data_bus.mean_wait()),
         },
         report,

@@ -23,6 +23,13 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+echo "==> differential spin fuzz, long form"
+# 1024 more seeded multi-core spin programs than tier-1 runs: the spin
+# pool (decode cache on) must match the polling reference interpreter on
+# every stat, digest and state fingerprint at every random pause.
+cargo test --release --offline -q --test properties -- --ignored \
+    spin_pool_matches_polling_at_every_pause_long
+
 echo "==> cargo doc (rustdoc rot gate)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 

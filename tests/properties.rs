@@ -288,3 +288,256 @@ fn parallel_sum_is_exact_for_any_gang() {
         assert!(summary.cycles > 0, "case {case}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Whole machine: the decoded executor's spin pool is bit-identical to the
+// reference interpreter's polling, at every pause of a randomly paused run.
+// ---------------------------------------------------------------------
+
+/// The DATA-region line a spin round waits on.
+fn spin_flag(round: u64) -> u64 {
+    cmp_sim::DATA_BASE + 0x4000 + round * LINE_BYTES
+}
+
+/// Lines sharing round `round`'s flag line's L1D set (64 KiB, 2-way).
+fn spin_conflict(round: u64, k: u64) -> u64 {
+    spin_flag(round) + k * 0x8000
+}
+
+/// A generated spin program: core 0 writes, every other core spins
+/// through `rounds` flag rounds.
+struct SpinCase {
+    program: sim_isa::Program,
+    config: SimConfig,
+    cores: usize,
+    /// Padding nops the harness may patch mid-run.
+    pads: Vec<u64>,
+}
+
+/// Generate a case: `bne` and `beq` loops, straddling an I-cache line or
+/// not; a writer that hits the watched word (with values that keep the
+/// loop spinning), other words of its line, lines of its L1 set, `dcbi`,
+/// `icbi` of the loop's code and LL/SC before releasing each round; and
+/// varied core timing so that same-cycle events are common.
+fn spin_case(r: &mut Prng) -> SpinCase {
+    let cores = 2 + r.below(3) as usize;
+    let rounds = 1 + r.below(3);
+    let mut config = SimConfig::with_cores(cores);
+    config.timing.issue_width = [1, 2, 4][r.below(3) as usize];
+    config.timing.mem_ports = 1 + r.below(2);
+    config.timing.branch_taken_penalty = r.below(3);
+    config.timing.load = 1 + r.below(2);
+    config.l1d.latency = 1 + r.below(3);
+    // Small shared levels keep the per-pause state fingerprint cheap.
+    config.l2.size_bytes = 256 * 1024;
+    config.l3.size_bytes = 512 * 1024;
+    // Loop shapes first: the writer's `icbi`s need the loops' pcs, which
+    // the layout fixes before the writer is emitted (every instruction
+    // is one word, so a second pass reproduces the same addresses).
+    let beq: Vec<bool> = (0..rounds).map(|_| r.below(2) == 0).collect();
+    let offsets: Vec<u64> = (0..rounds)
+        .map(|_| if r.below(2) == 0 { 60 } else { 4 * r.below(15) })
+        .collect();
+    let private = r.below(2) == 0;
+    let noise: Vec<Vec<(u64, u64)>> = (0..rounds)
+        .map(|_| {
+            (0..2 + r.below(8))
+                .map(|_| (r.below(8), r.below(40)))
+                .collect()
+        })
+        .collect();
+    let values: Vec<u64> = (0..64).map(|_| 2 + r.below(5)).collect();
+
+    let emit = |loops: &[u64]| -> (sim_isa::Program, Vec<u64>, Vec<u64>) {
+        let mut a = Asm::new();
+        let mut pads = Vec::new();
+        let mut loop_pcs = Vec::new();
+        a.label("entry").unwrap();
+        a.beq(Reg::TID, Reg::ZERO, "writer");
+        for round in 0..rounds {
+            let i = round as usize;
+            if private {
+                // Leave a store draining into the L1D as the spin starts.
+                a.slli(Reg::T5, Reg::TID, 6);
+                a.li(Reg::T6, (cmp_sim::DATA_BASE + 0x1_0000) as i64);
+                a.add(Reg::T5, Reg::T5, Reg::T6);
+                a.std(Reg::TID, Reg::T5, 0);
+            }
+            a.li(Reg::K0, spin_flag(round) as i64);
+            a.li(Reg::T1, 1);
+            while a.here() % LINE_BYTES != offsets[i] {
+                pads.push(a.here());
+                a.nop();
+            }
+            let spin = format!("spin{round}");
+            loop_pcs.push(a.here());
+            a.label(&spin).unwrap();
+            a.ldd(Reg::T0, Reg::K0, 0);
+            if beq[i] {
+                a.beq(Reg::T0, Reg::ZERO, spin.as_str());
+            } else {
+                a.bne(Reg::T0, Reg::T1, spin.as_str());
+            }
+            // Evict the flag line from this core's L1D set.
+            for k in 1..=2 {
+                a.li(Reg::T5, spin_conflict(round, k) as i64);
+                a.ldd(Reg::T6, Reg::T5, 0);
+            }
+        }
+        a.halt();
+        a.label("writer").unwrap();
+        let mut delay = 0;
+        for round in 0..rounds {
+            let i = round as usize;
+            let flag = spin_flag(round) as i64;
+            for (j, &(op, wait)) in noise[i].iter().enumerate() {
+                a.li(Reg::T5, flag);
+                match op {
+                    0 => {
+                        let v = if beq[i] { 0 } else { values[j % 64] as i64 };
+                        a.li(Reg::T6, v);
+                        a.std(Reg::T6, Reg::T5, 0);
+                    }
+                    1 => {
+                        a.li(Reg::T6, values[j % 64] as i64);
+                        a.std(Reg::T6, Reg::T5, 8 * (1 + (j as i64 % 7)));
+                    }
+                    2 => {
+                        a.li(Reg::T5, spin_conflict(round, 1 + (j as u64 % 2)) as i64);
+                        a.std(Reg::T5, Reg::T5, 0);
+                    }
+                    3 => {
+                        a.dcbi(Reg::T5, 0);
+                    }
+                    4 => {
+                        let pc = loops.get(i).copied().unwrap_or(0);
+                        a.li(Reg::T5, line_of(pc) as i64);
+                        a.icbi(Reg::T5, 0);
+                        a.li(Reg::T5, line_of(pc + 4) as i64);
+                        a.icbi(Reg::T5, 0);
+                    }
+                    5 => {
+                        let retry = format!("ll{round}_{j}");
+                        a.label(&retry).unwrap();
+                        a.ll(Reg::T6, Reg::T5, 0);
+                        a.sc(Reg::T7, Reg::T6, Reg::T5, 0);
+                        a.beq(Reg::T7, Reg::ZERO, retry.as_str());
+                    }
+                    _ => {
+                        a.ldd(Reg::T6, Reg::T5, 16);
+                    }
+                }
+                if wait > 0 {
+                    let l = format!("wait{delay}");
+                    delay += 1;
+                    a.li(Reg::T4, wait as i64);
+                    a.label(&l).unwrap();
+                    a.addi(Reg::T4, Reg::T4, -1);
+                    a.bne(Reg::T4, Reg::ZERO, l.as_str());
+                }
+            }
+            a.li(Reg::T5, flag);
+            a.li(Reg::T6, 1);
+            a.std(Reg::T6, Reg::T5, 0);
+        }
+        a.halt();
+        (a.assemble().unwrap(), pads, loop_pcs)
+    };
+    let (_, _, loops) = emit(&[]);
+    let (program, pads, again) = emit(&loops);
+    assert_eq!(loops, again, "the layout must not depend on the loop pcs");
+    SpinCase {
+        program,
+        config,
+        cores,
+        pads,
+    }
+}
+
+fn spin_machine(case: &SpinCase, decode: bool) -> cmp_sim::Machine {
+    let mut config = case.config.clone();
+    config.decode_cache = decode;
+    let entry = case.program.require_symbol("entry").unwrap();
+    let mut mb = cmp_sim::MachineBuilder::new(config, case.program.clone()).unwrap();
+    for _ in 0..case.cores {
+        mb.add_thread(entry);
+    }
+    mb.build().unwrap()
+}
+
+/// Run one seeded case on both executors, pausing at random cycles (and
+/// staging the same code patch on both now and then); returns the decoded
+/// run's spin counters.
+fn spin_differential(seed: u64) -> cmp_sim::SpinStats {
+    use cmp_sim::RunState;
+    let mut r = case_rng(11, seed);
+    let case = spin_case(&mut r);
+    let mut reference = spin_machine(&case, false);
+    let mut fast = spin_machine(&case, true);
+    let mut pause = 0u64;
+    for step in 0.. {
+        let span = if r.below(4) == 0 { 2_000 } else { 60 };
+        pause += 1 + r.below(span);
+        if r.below(8) == 0 && !case.pads.is_empty() {
+            let pc = case.pads[r.below(case.pads.len() as u64) as usize];
+            let instr = if r.below(2) == 0 {
+                sim_isa::Instr::Nop
+            } else {
+                sim_isa::Instr::Addi(Reg::T6, Reg::T6, 1)
+            };
+            reference.patch_code(pc, instr).unwrap();
+            fast.patch_code(pc, instr).unwrap();
+        }
+        let a = reference.run_until(pause).unwrap();
+        let b = fast.run_until(pause).unwrap();
+        let at = format!("seed {seed}, pause {step} at cycle {pause}");
+        assert_eq!(a, b, "{at}: run state");
+        assert_eq!(reference.now(), fast.now(), "{at}: clock");
+        assert_eq!(reference.stats(), fast.stats(), "{at}: MachineStats");
+        assert_eq!(
+            reference.stats().digest(),
+            fast.stats().digest(),
+            "{at}: digest"
+        );
+        assert_eq!(
+            reference.state_fingerprint(),
+            fast.state_fingerprint(),
+            "{at}: registers, pcs, issue accumulators or cache LRU state"
+        );
+        assert_eq!(reference.spin_stats(), Default::default());
+        if matches!(a, RunState::Finished(_)) {
+            break;
+        }
+        assert!(step < 100_000, "seed {seed}: no progress");
+    }
+    fast.spin_stats()
+}
+
+fn spin_fuzz(seeds: std::ops::Range<u64>) {
+    let mut total = cmp_sim::SpinStats::default();
+    for seed in seeds {
+        let s = spin_differential(seed);
+        total.parks += s.parks;
+        total.wakes += s.wakes;
+        total.credited_instructions += s.credited_instructions;
+    }
+    assert!(total.parks > 0, "no spinner ever parked — vacuous");
+    assert!(
+        total.credited_instructions > 0,
+        "nothing credited — vacuous"
+    );
+    assert_eq!(total.parks, total.wakes, "every parked core must wake");
+}
+
+#[test]
+fn spin_pool_matches_polling_at_every_pause() {
+    spin_fuzz(0..256);
+}
+
+/// The long form of the differential spin fuzz, run in release by
+/// `scripts/check.sh`.
+#[test]
+#[ignore = "slow: run by scripts/check.sh in release"]
+fn spin_pool_matches_polling_at_every_pause_long() {
+    spin_fuzz(256..1_280);
+}
